@@ -25,15 +25,30 @@ SAFE_MAX = 2**53 - 1
 SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
 
-def _encode(value):
+def _too_long(path: str) -> SchemaViolation:
+    """An integer past the interpreter's int/str conversion digit limit."""
+    return SchemaViolation(f"integer has too many digits at {path}", path=path)
+
+
+def _encode(value, path: str = "$"):
+    """JSON-ready copy of value with ints past SAFE_MAX as strings.
+
+    path follows object members but not array indices, which would cost
+    a string per element of every large array.
+    """
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, int):
-        return str(value) if abs(value) > SAFE_MAX else value
+        if abs(value) <= SAFE_MAX:
+            return value
+        try:
+            return str(value)
+        except ValueError:
+            raise _too_long(path) from None
     if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
+        return [_encode(v, path) for v in value]
     if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
+        return {str(k): _encode(v, f"{path}.{k}") for k, v in value.items()}
     raise TypeError(f"cannot serialize {value!r}")
 
 
@@ -41,12 +56,20 @@ def emit(document) -> str:
     return json.dumps(_encode(document), separators=(",", ":"))
 
 
-def _parse_int(text: str, path: str) -> int:
+def _parse_int(text: str, path: str, message: str | None = None) -> int:
+    """An optional sign, then ASCII digits, with surrounding whitespace.
+
+    Anything else is a SchemaViolation at path (with message, if given),
+    and so is a number past the int/str conversion digit limit.
+    """
     t = text.strip()
     body = t[1:] if t[:1] in "+-" else t
-    if not body.isdigit():
-        raise SchemaViolation(f"expected an integer at {path}", path=path, value=text)
-    return int(t)
+    if not (body.isascii() and body.isdigit()):
+        raise SchemaViolation(message or f"expected an integer at {path}", path=path, value=text)
+    try:
+        return int(t)
+    except ValueError:
+        raise _too_long(path) from None
 
 
 def _parse_int_list(text: str, path: str) -> tuple[int, ...]:
@@ -105,14 +128,12 @@ def _env_degree_bound() -> int | None:
     raw = os.environ.get("ORBISTACK_DEGREE_BOUND")
     if raw is None:
         return None
-    body = raw.strip()
-    if not body.isdigit() or int(body) < 1:
-        raise SchemaViolation(
-            "ORBISTACK_DEGREE_BOUND must be a positive integer",
-            path="env.ORBISTACK_DEGREE_BOUND",
-            value=raw,
-        )
-    return int(body)
+    path = "env.ORBISTACK_DEGREE_BOUND"
+    message = "ORBISTACK_DEGREE_BOUND must be a positive integer"
+    bound = _parse_int(raw, path, message)
+    if bound < 1:
+        raise SchemaViolation(message, path=path, value=raw)
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +164,12 @@ def _document_from_data(data: embed_mod.EmbeddingData) -> dict:
     return doc
 
 
-def _want(doc: dict, key: str, path: str):
+def _want(doc: dict, key: str, path: str, kind: type = object, what: str = ""):
+    """doc[key], which must exist and, when kind is given, be a kind."""
     if key not in doc:
         raise SchemaViolation(f"missing key at {path}.{key}", path=f"{path}.{key}")
+    if not isinstance(doc[key], kind):
+        raise SchemaViolation(f"expected {what} at {path}.{key}", path=f"{path}.{key}")
     return doc[key]
 
 
@@ -155,9 +179,7 @@ def _decode_int(value, path: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        body = value[1:] if value[:1] in "+-" else value
-        if body.isdigit():
-            return int(value)
+        return _parse_int(value, path)
     raise SchemaViolation(f"expected an integer at {path}", path=path, value=value)
 
 
@@ -199,15 +221,11 @@ def _data_from_document(doc) -> embed_mod.EmbeddingData:
     dprime = _decode_int(_want(doc, "dprime", "$"), "$.dprime")
     m0 = _decode_int(_want(doc, "m0", "$"), "$.m0")
     n_twist = _decode_int(_want(doc, "N", "$"), "$.N")
-    raw_v1 = _want(doc, "V1", "$")
-    if not isinstance(raw_v1, list):
-        raise SchemaViolation("expected an array at $.V1", path="$.V1")
+    raw_v1 = _want(doc, "V1", "$", list, "an array")
     v1 = tuple(
         _decode_monomial(v, width, f"$.V1[{i}]") for i, v in enumerate(raw_v1)
     )
-    raw_v2 = _want(doc, "V2", "$")
-    if not isinstance(raw_v2, list):
-        raise SchemaViolation("expected an array of blocks at $.V2", path="$.V2")
+    raw_v2 = _want(doc, "V2", "$", list, "an array of blocks")
     blocks = []
     for m, raw_block in enumerate(raw_v2):
         if not isinstance(raw_block, list):
@@ -220,9 +238,7 @@ def _data_from_document(doc) -> embed_mod.EmbeddingData:
                 for i, v in enumerate(raw_block)
             )
         )
-    raw_tw = _want(doc, "target_weights", "$")
-    if not isinstance(raw_tw, list):
-        raise SchemaViolation("expected an array at $.target_weights", path="$.target_weights")
+    raw_tw = _want(doc, "target_weights", "$", list, "an array")
     target_weights = tuple(
         _decode_int(w, f"$.target_weights[{i}]") for i, w in enumerate(raw_tw)
     )
@@ -237,24 +253,8 @@ def _data_from_document(doc) -> embed_mod.EmbeddingData:
     else:
         coordinates = v1 + tuple(v for block in blocks for v in block)
     certification = None
-    if isinstance(doc.get("certification"), dict):
-        cert = doc["certification"]
-        try:
-            certification = embed_mod.Certification(
-                descent_modulus=_decode_int(cert["descent_modulus"], "$.certification.descent_modulus"),
-                candidates_tried=tuple(
-                    _decode_int(x, f"$.certification.candidates_tried[{i}]")
-                    for i, x in enumerate(cert["candidates_tried"])
-                ),
-                first_candidate_passed=bool(cert["first_candidate_passed"]),
-                normality_degrees_checked=tuple(
-                    _decode_int(x, f"$.certification.normality_degrees_checked[{i}]")
-                    for i, x in enumerate(cert["normality_degrees_checked"])
-                ),
-                assumption=str(cert["assumption"]),
-            )
-        except (KeyError, TypeError):
-            certification = None
+    if "certification" in doc:
+        certification = _certification_from_document(doc)
     return embed_mod.EmbeddingData(
         source=source,
         dprime=dprime,
@@ -265,6 +265,23 @@ def _data_from_document(doc) -> embed_mod.EmbeddingData:
         target_weights=target_weights,
         coordinates=coordinates,
         certification=certification,
+    )
+
+
+def _certification_from_document(doc: dict) -> embed_mod.Certification:
+    cert = _want(doc, "certification", "$", dict, "an object")
+    path = "$.certification"
+
+    def ints(key):
+        raw = _want(cert, key, path, list, "an array")
+        return tuple(_decode_int(x, f"{path}.{key}[{i}]") for i, x in enumerate(raw))
+
+    return embed_mod.Certification(
+        descent_modulus=_decode_int(_want(cert, "descent_modulus", path), f"{path}.descent_modulus"),
+        candidates_tried=ints("candidates_tried"),
+        first_candidate_passed=_want(cert, "first_candidate_passed", path, bool, "a boolean"),
+        normality_degrees_checked=ints("normality_degrees_checked"),
+        assumption=_want(cert, "assumption", path, str, "a string"),
     )
 
 
@@ -332,7 +349,6 @@ def _pretty_lines(doc: dict) -> list[str]:
         )
     elif command == "verify":
         lines.append(f"  verdict: {doc['verdict']}")
-        lines.append(f"  generation bound: {doc['generation_bound']}")
         lines.append(f"  charts checked: {len(doc['charts'])}")
         lines.append(f"  strata checked: {len(doc['strata'])}")
     elif command == "recover":
@@ -430,12 +446,11 @@ def _cmd_embed(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     data = _data_from_document(_load_document(args.data))
-    report = embed_mod.verify_immersion(data, generation_bound=_env_degree_bound())
+    report = embed_mod.verify_immersion(data)
     return {
         "schema": 1,
         "command": "verify",
         "verdict": report.verdict,
-        "generation_bound": report.generation_bound,
         "certified_via": report.certified_via,
         "charts": [
             {"chart": list(c.chart), "generators_checked": c.generators_checked}
@@ -640,8 +655,15 @@ def _cmd_selftest(args) -> dict:
     return {"schema": 1, "command": "selftest", "checks": results, "passed": passed}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become SchemaViolation, so they exit 2 with JSON."""
+
+    def error(self, message):
+        raise SchemaViolation(f"{self.prog}: {message}", path="argv")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbistack",
         description="Exact computations for line bundles on weighted projective stacks.",
     )
@@ -693,20 +715,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        document = args.handler(args)
-    except SchemaViolation as err:
-        print(emit(err.payload()))
-        return 2
+        args = build_parser().parse_args(argv)
+        document = _encode(args.handler(args))
     except DomainError as err:
-        print(emit(err.payload()))
-        return 1
-    if getattr(args, "pretty", False):
+        code = 2 if isinstance(err, SchemaViolation) else 1
+        try:
+            text = emit(err.payload())
+        except SchemaViolation as unprintable:  # a witness past the digit limit
+            text, code = emit(unprintable.payload()), 2
+        print(text)
+        return code
+    if args.pretty:
         print("\n".join(_pretty_lines(document)))
     else:
-        print(emit(document))
+        print(json.dumps(document, separators=(",", ":")))
     if document.get("command") == "selftest" and not document["passed"]:
         return 1
     return 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -26,7 +25,14 @@ from .errors import (
     StabilizerNotPreserved,
     VeryAmpleCertificationFailed,
 )
-from .lattice import Vec, _row_hnf, hilbert_basis, integer_kernel, sort_monomials
+from .lattice import (
+    Vec,
+    _dot,
+    hilbert_basis,
+    integer_kernel,
+    sort_monomials,
+    sublattice_index,
+)
 from .wps import WeightSystem, descent_modulus, is_det_ample, is_faithful, section_basis
 
 
@@ -89,7 +95,6 @@ class StratumCheck:
 @dataclass(frozen=True)
 class VerifyReport:
     verdict: str
-    generation_bound: int
     certified_via: str
     charts: tuple[ChartCheck, ...]
     strata: tuple[StratumCheck, ...]
@@ -424,23 +429,20 @@ def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
     return old_r, old_a, old_b
 
 
-def _hnf_rows(rows):
-    h, rank = _row_hnf(rows)
-    return [row for row in h[:rank] if any(row)], rank
-
-
 def _lattice_index(s_idx, weights_a, members) -> int:
     """Index of the weight-kernel image inside the stratum relation lattice.
 
     members are (target weight, coordinate) pairs supported inside the
     stratum.  The kernel of the single weight form is generated by one
     new relation per member against a running Bezout combination, so the
-    image lattice is built in one pass.  Returns 0 for infinite index or
-    an image not contained in the relation lattice.
+    image lattice is built in one pass.  The relation lattice is the
+    saturated kernel of the stratum weight form, so the image lies in it
+    exactly when the form vanishes on every generator.  Returns 0 for
+    infinite index or an image not contained in the relation lattice.
     """
     d = len(s_idx)
-    relation_basis = integer_kernel([tuple(weights_a[j] for j in s_idx)], d)
-    target_rank = len(relation_basis)
+    weight_row = [weights_a[j] for j in s_idx]
+    relation_basis = integer_kernel([weight_row], d)
 
     gens: list[list[int]] = []
     g = 0
@@ -455,66 +457,9 @@ def _lattice_index(s_idx, weights_a, members) -> int:
         if g2 != g:
             bezout = [alpha * r + beta * x for r, x in zip(bezout, u)]
             g = g2
-    image_rows, image_rank = _hnf_rows(gens) if gens else ([], 0)
-    if image_rank < target_rank:
-        return 0 if target_rank else 1
-
-    # Express each image row in the relation basis; saturation of the
-    # kernel makes integral coordinates automatic once the row lies in
-    # the rational span.
-    coeff_rows = []
-    for row in image_rows:
-        if sum(weights_a[j] * x for j, x in zip(s_idx, row)):
-            return 0
-        coords = _solve_in_basis(relation_basis, row)
-        if coords is None:
-            return 0
-        coeff_rows.append(coords)
-    reduced, rank = _hnf_rows(coeff_rows)
-    if rank < target_rank:
+    if any(_dot(weight_row, gen) for gen in gens):
         return 0
-    # Pivot product of the square HNF is the lattice index.
-    index = 1
-    for i in range(target_rank):
-        pivot = next(x for x in reduced[i] if x)
-        index *= abs(pivot)
-    return index
-
-
-def _solve_in_basis(basis, row):
-    """Integer coordinates of row in the given lattice basis, or None."""
-    if not basis:
-        return None if any(row) else []
-    cols = len(basis[0])
-    aug = [[Fraction(basis[i][c]) for i in range(len(basis))] + [Fraction(row[c])] for c in range(cols)]
-    m = len(basis)
-    pivot_row = 0
-    pivots = []
-    for col in range(m):
-        piv = next((r for r in range(pivot_row, len(aug)) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[pivot_row], aug[piv] = aug[piv], aug[pivot_row]
-        inv = aug[pivot_row][col]
-        aug[pivot_row] = [x / inv for x in aug[pivot_row]]
-        for r in range(len(aug)):
-            if r != pivot_row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    for r in range(pivot_row, len(aug)):
-        if aug[r][m]:
-            return None
-    coords = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        coords[col] = aug[r][m]
-    out = []
-    for x in coords:
-        if x.denominator != 1:
-            return None
-        out.append(int(x))
-    return out
+    return sublattice_index(gens, relation_basis)
 
 
 def _check_stratum_separation(data: EmbeddingData) -> tuple[StratumCheck, ...]:
@@ -566,26 +511,20 @@ def _check_stratum_separation(data: EmbeddingData) -> tuple[StratumCheck, ...]:
     return tuple(reports)
 
 
-def verify_immersion(data: EmbeddingData, *, generation_bound: int | None = None) -> VerifyReport:
+def verify_immersion(data: EmbeddingData) -> VerifyReport:
     """Certify that the monomial map is an immersion preserving stabilizers.
 
     Two independent checks must pass: chart generation (the sections on
     each V1 chart are generated by V2 over the inverted chart monomial)
     and stratum separation (weights and exponent differences reproduce
     each stratum's stabilizer and character lattice).  Chart generation
-    is certified on the semigroup generators, which covers every degree;
-    the reported bound is the nominal sweep depth that a direct
-    enumeration would use.
+    is certified on the semigroup generators, which covers every degree.
     """
     _validate_structure(data)
-    bound = generation_bound
-    if bound is None:
-        bound = 2 * (data.m0 + data.N) * data.dprime
     charts = _check_chart_generation(data)
     strata = _check_stratum_separation(data)
     return VerifyReport(
         verdict="pass",
-        generation_bound=bound,
         certified_via="semigroup-generators",
         charts=charts,
         strata=strata,

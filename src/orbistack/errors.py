@@ -73,6 +73,12 @@ class RoundTripMismatch(DomainError):
     name = "RoundTripMismatch"
 
 
+class InvariantViolation(DomainError):
+    """An internal consistency check failed; the witness shows where."""
+
+    name = "InvariantViolation"
+
+
 class SchemaViolation(DomainError):
     """A serialized document does not match the expected shape."""
 

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import NotPolynomial
+from .errors import InvariantViolation, NotPolynomial
 from .lattice import (
     BOUNDARY,
     OUTSIDE,
     IntMatrix,
     SemigroupBasis,
     Vec,
+    _dot,
     cone_position,
     hilbert_basis,
     integer_kernel,
@@ -32,10 +33,6 @@ NOT_STABLE = "NotStable"
 STABILIZER_INFINITE = "StabilizerInfinite"
 CHI_OUTSIDE_CONE = "ChiOutsideCone"
 CHI_ON_BOUNDARY = "ChiOnBoundary"
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,9 @@ def stable_locus(act: CharacterAction) -> StableLocus:
     locus = StableLocus(tuple(minimal))
     for s, ok in verdicts.items():
         if ok != locus.contains(s):
-            raise RuntimeError(f"stable supports are not upward closed at {s}")
+            raise InvariantViolation(
+                "stable supports are not upward closed", support=list(s)
+            )
     return locus
 
 

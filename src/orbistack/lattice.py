@@ -16,10 +16,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InfiniteSolutionSet
+from .errors import InfiniteSolutionSet, InvariantViolation
 
 Vec = tuple[int, ...]
 
@@ -143,7 +143,7 @@ def _row_axpy(target: list[int], source: list[int], q: int) -> None:
         target[i] -= q * s
 
 
-def _row_hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+def _row_hnf(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], int]:
     """Row Hermite normal form by integer row operations; returns (H, rank)."""
     m = [list(r) for r in rows]
     nr = len(m)
@@ -197,6 +197,25 @@ def integer_kernel(rows: Iterable[Sequence[int]], n: int) -> tuple[Vec, ...]:
         aug.append([rows[i][j] for i in range(k)] + [1 if t == j else 0 for t in range(n)])
     h, _ = _row_hnf(aug)
     return tuple(tuple(row[k:]) for row in h if not any(row[:k]))
+
+
+def sublattice_index(sub_rows: Iterable[Sequence[int]], rows: Iterable[Sequence[int]]) -> int:
+    """Index of span_Z(sub_rows) in span_Z(rows), or 0 when sub_rows has smaller rank.
+
+    The caller guarantees span_Z(sub_rows) is inside span_Z(rows).  Equal
+    rank then means equal rational span, hence the same HNF pivot
+    columns, and each lattice's covolume on those columns is the product
+    of its HNF pivots.
+    """
+    sub_h, sub_rank = _row_hnf(sub_rows)
+    h, rank = _row_hnf(rows)
+    if sub_rank < rank:
+        return 0
+    return _pivot_product(sub_h, sub_rank) // _pivot_product(h, rank)
+
+
+def _pivot_product(h: Sequence[Sequence[int]], rank: int) -> int:
+    return prod(next(x for x in row if x) for row in h[:rank])
 
 
 def primitive(v: Sequence[int]) -> Vec:
@@ -402,7 +421,9 @@ def _recession_direction(W: IntMatrix) -> Vec:
     """A nonzero u >= 0 with W u = 0; caller guarantees existence."""
     mins = minimal_homogeneous_solutions(W.entries, W.cols)
     if not mins:
-        raise RuntimeError("no recession direction found")
+        raise InvariantViolation(
+            "no recession direction found", matrix=[list(r) for r in W.entries]
+        )
     return mins[0]
 
 
@@ -511,8 +532,8 @@ def hilbert_basis(
         for mm in range(1, bound + 1):
             for e in graded_sections(W, chi_v, mm).basis:
                 if not is_nonneg_combination(e + (mm,), flat):
-                    raise RuntimeError(
-                        f"generator completeness failed in degree {mm} at {e}"
+                    raise InvariantViolation(
+                        "generator completeness failed", degree=mm, monomial=list(e)
                     )
         certified = bound
     return SemigroupBasis(tuple(gens), invariants, pointed, certified)

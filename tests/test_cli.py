@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from orbistack import cli
+from orbistack import cli, lattice
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -35,7 +35,7 @@ EMBED_P13 = (
 )
 
 VERIFY_P13 = (
-    '{"schema":1,"command":"verify","verdict":"pass","generation_bound":12,'
+    '{"schema":1,"command":"verify","verdict":"pass",'
     '"certified_via":"semigroup-generators",'
     '"charts":[{"chart":[3,0],"generators_checked":2},'
     '{"chart":[0,1],"generators_checked":2}],'
@@ -122,7 +122,6 @@ def test_domain_failure_exits_1_with_witness(capsys):
 
 
 def test_verify_reads_file_and_stdin(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("ORBISTACK_DEGREE_BOUND", raising=False)
     path = tmp_path / "data.json"
     path.write_text(EMBED_P13, encoding="utf-8")
     assert run(capsys, ["verify", "--data", str(path)]) == (0, VERIFY_P13)
@@ -187,6 +186,21 @@ def test_morphism_check_envelope(capsys):
     )
 
 
+# Past the interpreter's 4300-digit int/str conversion limit.
+HUGE = "9" * 5000
+# 3001 digits each: printable, but their lcm has about 6000 digits.
+WIDE_A = "1" + "0" * 2999 + "1"
+WIDE_B = "1" + "0" * 2999 + "3"
+
+
+def schema_violation(out):
+    """The single JSON document a malformed-input exit prints."""
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["error"] == "SchemaViolation"
+    return doc
+
+
 @pytest.mark.parametrize(
     "argv,message,path",
     [
@@ -206,15 +220,95 @@ def test_morphism_check_envelope(capsys):
          "character length 2 does not match 1 matrix rows", "chi"),
         (["hilbert-series", "--weights", "1,3", "--max-degree", "-1"],
          "max_degree must be nonnegative", "max_degree"),
+        (["sections", "--weights", "1,3", "--degree", "\u00b2"],
+         "expected an integer at degree", "degree"),
+        (["sections", "--weights", "1," + HUGE, "--degree", "3"],
+         "integer has too many digits at weights[1]", "weights[1]"),
+        (["ample-check", "--weights", f"{WIDE_A},{WIDE_B}", "--degree", "1"],
+         "integer has too many digits at $.descent_modulus", "$.descent_modulus"),
+        (["stable-locus", "--matrix", "-1,1", "--chi", "1"],
+         "orbistack stable-locus: argument --matrix: expected one argument", "argv"),
+        (["sections", "--weights", "1,3"],
+         "orbistack sections: the following arguments are required: --degree", "argv"),
+        ([], "orbistack: the following arguments are required: command", "argv"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, message, path):
-    code, out = run(capsys, argv)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
     assert code == 2
-    doc = json.loads(out)
-    assert doc["error"] == "SchemaViolation"
+    assert captured.err == ""
+    doc = schema_violation(captured.out)
     assert doc["message"] == message
     assert doc["witness"]["path"] == path
+
+
+def test_unprintable_failure_witness_exits_2(capsys, monkeypatch):
+    # The twist does not descend, and the witness carries the lcm.
+    doc = {"weights": [WIDE_A, WIDE_B], "dprime": 1, "m0": 1, "N": 1,
+           "V1": [[1, 0]], "V2": [[]], "target_weights": [1]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out = run(capsys, ["verify", "--data", "-"])
+    assert code == 2
+    assert schema_violation(out)["witness"]["path"] == "$.witness.descent_modulus"
+
+
+def test_non_ascii_digit_string_in_a_document_exits_2(capsys, monkeypatch):
+    doc = json.loads(EMBED_P13)
+    doc["N"] = "\u00b2"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out = run(capsys, ["verify", "--data", "-"])
+    assert code == 2
+    assert schema_violation(out)["witness"]["path"] == "$.N"
+
+
+def test_help_still_exits_0_with_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: orbistack")
+
+
+CERTIFICATION_P13 = json.loads(EMBED_P13)["certification"]
+
+
+@pytest.mark.parametrize(
+    "certification,message",
+    [
+        ({"descent_modulus": 3},
+         "missing key at $.certification.candidates_tried"),
+        ({**CERTIFICATION_P13, "first_candidate_passed": 1},
+         "expected a boolean at $.certification.first_candidate_passed"),
+        ({**CERTIFICATION_P13, "assumption": None},
+         "expected a string at $.certification.assumption"),
+        ({**CERTIFICATION_P13, "candidates_tried": 3},
+         "expected an array at $.certification.candidates_tried"),
+        ({**CERTIFICATION_P13, "normality_degrees_checked": ["x"]},
+         "expected an integer at $.certification.normality_degrees_checked[0]"),
+        ([], "expected an object at $.certification"),
+    ],
+)
+def test_malformed_certification_block_exits_2(capsys, monkeypatch, certification, message):
+    doc = json.loads(EMBED_P13)
+    doc["certification"] = certification
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out = run(capsys, ["verify", "--data", "-"])
+    assert code == 2
+    found = schema_violation(out)
+    assert found["message"] == message
+    assert found["witness"]["path"] == message.rpartition(" at ")[2]
+
+
+def test_internal_invariant_failure_exits_1_with_one_document(capsys, monkeypatch):
+    monkeypatch.setattr(lattice, "is_nonneg_combination", lambda target, gens: False)
+    code, out = run(capsys, ["proj", "--matrix", "1,3", "--chi", "1"])
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out) == {
+        "error": "InvariantViolation",
+        "message": "generator completeness failed",
+        "witness": {"degree": 1, "monomial": [1, 0]},
+    }
 
 
 def test_unreadable_and_invalid_documents_exit_2(capsys, monkeypatch):
@@ -233,14 +327,6 @@ def test_unreadable_and_invalid_documents_exit_2(capsys, monkeypatch):
 
 
 def test_degree_bound_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("ORBISTACK_DEGREE_BOUND", "4")
-    monkeypatch.setattr(sys, "stdin", io.StringIO(EMBED_P13))
-    code, out = run(capsys, ["verify", "--data", "-"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["generation_bound"] == 4
-    assert doc["verdict"] == "pass"
-
     monkeypatch.setenv("ORBISTACK_DEGREE_BOUND", "20")
     code, out = run(capsys, ["proj", "--matrix", "1,3", "--chi", "1"])
     assert code == 0
@@ -250,8 +336,7 @@ def test_degree_bound_env_override(capsys, monkeypatch):
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
 def test_degree_bound_env_rejects_garbage(capsys, monkeypatch, value):
     monkeypatch.setenv("ORBISTACK_DEGREE_BOUND", value)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(EMBED_P13))
-    code, out = run(capsys, ["verify", "--data", "-"])
+    code, out = run(capsys, ["proj", "--matrix", "1,3", "--chi", "1"])
     assert code == 2
     doc = json.loads(out)
     assert doc["message"] == "ORBISTACK_DEGREE_BOUND must be a positive integer"

@@ -9,6 +9,7 @@ computations on small weight systems.
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -127,7 +128,6 @@ def test_verify_immersion_passes_on_genuine_data(weights, dprime):
     report = verify_immersion(data)
     assert report.verdict == "pass"
     assert report.certified_via == "semigroup-generators"
-    assert report.generation_bound == 2 * (data.m0 + data.N) * dprime
     assert tuple(c.chart for c in report.charts) == data.V1
     supports = [s.support for s in report.strata]
     n = len(data.source.weights)
@@ -311,6 +311,51 @@ def test_lattice_index_unit_cases():
     assert not oracles.in_lattice((1, -1), [(2, -2)])
 
 
+def lattice_index_by_definition(support, weights, members):
+    """The index from its definition, through tests.oracles only.
+
+    The image lattice is the kernel of the member weights pushed through
+    the restricted exponent vectors; the relation lattice is saturated,
+    so its maximal minors have gcd 1 and the index is the image's minor
+    gcd, provided the image lies in it and has full rank.
+    """
+    stratum = [weights[j] for j in support]
+    restricted = [[v[j] for j in support] for _, v in members]
+    gens = [
+        [sum(c * r[i] for c, r in zip(k, restricted)) for i in range(len(support))]
+        for k in oracles.single_row_kernel_basis([wt for wt, _ in members])
+    ]
+    if any(sum(a * x for a, x in zip(stratum, g)) for g in gens):
+        return 0
+    rank, minor_gcd = oracles.lattice_det(gens)
+    return minor_gcd if rank == len(support) - 1 else 0
+
+
+def test_lattice_index_matches_its_definition():
+    # Most members get a target weight proportional to their degree, as
+    # genuine data has; the rest get an arbitrary one.
+    rng = random.Random(4)
+    seen = set()
+    for _ in range(3000):
+        weights = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+        support = tuple(sorted(rng.sample(range(len(weights)), rng.randint(1, len(weights)))))
+        dprime = rng.randint(1, 3)
+        members = []
+        for _ in range(rng.randint(1, 5)):
+            v = [rng.randint(0, 3) if j in support else 0 for j in range(len(weights))]
+            degree = sum(a * x for a, x in zip(weights, v))
+            if degree and degree % dprime == 0 and rng.random() < 0.8:
+                wt = degree // dprime
+            else:
+                wt = rng.randint(1, 8)
+            members.append((wt, tuple(v)))
+        expected = lattice_index_by_definition(support, weights, members)
+        assert _lattice_index(support, weights, members) == expected, (support, weights, members)
+        seen.add(min(expected, 2))
+    # Failures, exact fits and proper sublattices all occur.
+    assert seen == {0, 1, 2}
+
+
 @pytest.mark.parametrize("weights,dprime", GENUINE)
 def test_m0_is_the_last_generator_degree(weights, dprime):
     data = find_embedding_data(weights, dprime)
@@ -323,13 +368,6 @@ def test_m0_is_the_last_generator_degree(weights, dprime):
     for m in range(data.m0 + 1, data.m0 + 4):
         for e in section_basis(weights, m * dprime):
             assert oracles.can_decompose(e + (m,), gens)
-
-
-def test_generation_bound_override():
-    data = find_embedding_data((1, 3), 1)
-    report = verify_immersion(data, generation_bound=4)
-    assert report.generation_bound == 4
-    assert report.verdict == "pass"
 
 
 def test_normality_degrees_scale_with_dimension():

@@ -1,0 +1,90 @@
+"""Golden corpus: the sha256 of the stdout bytes of fixed CLI jobs.
+
+The corpus is every command line example in the README plus embed,
+verify and recover on five weight systems.  A change that alters any
+byte of these outputs fails here, so refactors of the lattice and
+embedding layers have to keep the canonical JSON exactly as it was.
+"""
+
+import hashlib
+import io
+import sys
+
+import pytest
+
+from orbistack import cli
+
+README_JOBS = [
+    (["sections", "--weights", "1,3", "--degree", "6"],
+     "38ad86023f7172cec2e9318e9dd09ead1bc81f7420c944708d51cddf812ccebd"),
+    (["hilbert-series", "--weights", "1,3", "--max-degree", "6"],
+     "fa5e9f7c1df866662e68397c020eb526986f1ad4940b1619659531b55e3c5792"),
+    (["ample-check", "--weights", "1,3", "--degree", "3"],
+     "8b0921f36d6678131f353a09641856c6f9e595838232b7eea09be3790b88eddd"),
+    (["embed", "--weights", "1,3", "--degree", "1", "--pretty"],
+     "6b90d025a471ed82f9f063794c5f657ae35074466bac2c0a5280ccc951984cd8"),
+    (["stable-locus", "--matrix", "1,3", "--chi", "1"],
+     "16e562cf00c345fb75502a7b58f34d3165aebaee06584b2ecae138d49fb59a8a"),
+    (["proj", "--matrix", "1,3", "--chi", "1"],
+     "20592b67598a4bbf882ddec97ae267ed6e7d2c5ed8efeb45e3c36e062d9340b7"),
+    (["morphism-check", "--weights", "1,1", "--degree", "1", "--sections", "1,0:1;0,1:1"],
+     "bcf0bf72207dc8933944bcdbb4448282029fac0d06cb8cab68a4c0c8cdc510ba"),
+    (["selftest"],
+     "75d373cab3ef9234f947a13a9f4a8cb2bf4b917b3e3f9c5800a85d0a449ccded"),
+]
+
+# weights -> digests of embed (degree 1), verify and recover on its output.
+ROUND_TRIPS = {
+    "1,3": (
+        "efc7f6417cb1ae7d7928940a9847b548ae786a880e3153d7b106caf237038c48",
+        "fba531446c3e9cd1a0a537b1282eae4a45f8df36c81ed70f1903774028b38425",
+        "81603e97c7736b1c82c711a94cdf6f126a59db1b19e2f6dac905accca75f677b",
+    ),
+    "2,3,5": (
+        "bb3bbf874dd4e7465139a0fff9595703d2a3eba22486d4cc38fc9c58793523a1",
+        "48b82abc566da3a6ab5c24659061a505f9f06555dd6abfa298069c2c1a5f4594",
+        "2bd6f42a7901b81f4568c57f1f052d9aeff8ddb3840b2c32281351782a2f24b8",
+    ),
+    "3,4,5": (
+        "67349151a7a7cd201cbb5144b1184f94981195bc91aa6ff79ca22512d28bb699",
+        "c53977c6476813c2f2bdb6f16938aafe2ac2f36c98e749d9dc2e57fc0a26a8ed",
+        "b3a5073d780a23449aa2e25a034dbdcb199d0396dea2f9e635df65bd01715672",
+    ),
+    "1,2,3,4": (
+        "0ec509416cc96365c8837b8cae0db54e558713c944f296afc0a600b52316e1f9",
+        "9b1bea04ddb94e1886ee0aa909149ae198f9c14fb0e2518edc1ff2fe01dc7a23",
+        "b39ed8bd2b36bbbf31832e32cb2e880301fb128c1046318ba4eef9c50414cc66",
+    ),
+    "5,7,11": (
+        "5f0b855ed1bde36cabdf3d36bbeb45f0db4d5abadd3709cc5efabbba72e4fa47",
+        "23183491ded4f9288987a21eb2533425f9e32ffd08a56c5f57ce4d57ce0c86e2",
+        "ce413d2b32aeea5d183fcc959bd85a8e61efaec33338631fa5e71e66fef41f05",
+    ),
+}
+
+
+def stdout_of(capsys, argv):
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+def digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv,expected", README_JOBS, ids=[" ".join(a) for a, _ in README_JOBS])
+def test_readme_example_bytes(capsys, argv, expected):
+    assert digest(stdout_of(capsys, argv)) == expected
+
+
+@pytest.mark.parametrize("weights", list(ROUND_TRIPS))
+def test_embed_verify_recover_bytes(capsys, monkeypatch, tmp_path, weights):
+    embed_hex, verify_hex, recover_hex = ROUND_TRIPS[weights]
+    document = stdout_of(capsys, ["embed", "--weights", weights, "--degree", "1"])
+    assert digest(document) == embed_hex
+    # As in the README: verify reads a file, recover reads stdin.
+    path = tmp_path / "data.json"
+    path.write_text(document, encoding="utf-8")
+    assert digest(stdout_of(capsys, ["verify", "--data", str(path)])) == verify_hex
+    monkeypatch.setattr(sys, "stdin", io.StringIO(document))
+    assert digest(stdout_of(capsys, ["recover", "--data", "-"])) == recover_hex

@@ -13,6 +13,7 @@ import pytest
 from orbistack import (
     InfiniteSolutionSet,
     IntMatrix,
+    InvariantViolation,
     cone_position,
     dual_cone_generators,
     graded_sections,
@@ -27,6 +28,8 @@ from orbistack import (
     primitive,
     sort_monomials,
 )
+from orbistack import lattice
+from orbistack.lattice import sublattice_index
 from tests import oracles
 
 
@@ -339,6 +342,36 @@ def test_hilbert_basis_generates_all_graded_pieces():
     for m in range(1, 11):
         for e in graded_sections(W((1, 3)), (1,), m):
             assert oracles.can_decompose(e + (m,), gens)
+
+
+def test_hilbert_basis_completeness_failure_is_typed(monkeypatch):
+    monkeypatch.setattr(lattice, "is_nonneg_combination", lambda target, gens: False)
+    with pytest.raises(InvariantViolation) as exc:
+        hilbert_basis(W((1, 3)), (1,))
+    assert exc.value.witness == {"degree": 1, "monomial": [1, 0]}
+    # Without the completeness sweep the check is never reached.
+    assert hilbert_basis(W((1, 3)), (1,), certify=False).certified_degree is None
+
+
+KERNEL_123 = ((1, 1, -1), (0, 3, -2))
+
+
+def test_sublattice_index_matches_minor_gcds():
+    # A sublattice of Z^n (or of a saturated kernel) has index equal to
+    # its maximal-minor gcd, and 0 when its rank falls short.
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        rank, minor_gcd = oracles.lattice_det(rows)
+        full = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert sublattice_index(rows, full) == (minor_gcd if rank == n else 0)
+        # Inside the rank-2 kernel of (1, 2, 3): the index is |det| of
+        # the coefficient matrix over the kernel basis.
+        coeffs = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+        sub = [[c0 * x + c1 * y for x, y in zip(*KERNEL_123)] for c0, c1 in coeffs]
+        assert sublattice_index(sub, KERNEL_123) == abs(oracles.int_det(coeffs))
+    assert sublattice_index([], []) == 1
 
 
 def test_hilbert_basis_k0():
