@@ -235,36 +235,43 @@ def lattice_spans(columns: Iterable[Sequence[int]], k: int) -> bool:
 
 
 @lru_cache(maxsize=65536)
+def _quotient_line(t_rows: tuple[Vec, ...], lin: tuple[Vec, ...], k: int) -> Vec | None:
+    """Primitive kernel vector of t_rows outside span(lin), or None.
+
+    When the r - 1 rows of T are independent, ker(T) contains the
+    lineality space with one extra dimension; any kernel vector outside
+    it spans that quotient line.  Many supports share T, so the solve is
+    cached here rather than per support.
+    """
+    if matrix_rank(t_rows) != k - len(lin) - 1:
+        return None
+    for w in integer_kernel(t_rows, k):
+        if matrix_rank(lin + (w,)) > len(lin):
+            return primitive(w)
+    return None
+
+
+@lru_cache(maxsize=65536)
 def _dual_cone_generators_cached(columns: tuple[Vec, ...], k: int) -> tuple[Vec, ...]:
     if k == 0:
         return ()
     # Duplicate and zero columns do not change the dual cone.
     rows = tuple(dict.fromkeys(c for c in columns if any(c)))
-    lin = integer_kernel(rows, k)
+    lin = () if matrix_rank(columns) == k else integer_kernel(rows, k)
     gens: set[Vec] = set()
     for v in lin:
         gens.add(v)
         gens.add(_neg(v))
     r = k - len(lin)
     if r > 0:
-        lin_rank = len(lin)
         for t_rows in itertools.combinations(rows, r - 1):
-            if matrix_rank(t_rows) != r - 1:
-                continue
-            # ker(T) contains the lineality space with one extra dimension;
-            # any kernel vector outside it spans that quotient line.
-            v = None
-            for w in integer_kernel(t_rows, k):
-                if matrix_rank(lin + (w,)) > lin_rank:
-                    v = w
-                    break
+            v = _quotient_line(t_rows, lin, k)
             if v is None:
                 continue
-            vals = [_dot(v, c) for c in rows]
-            if all(x >= 0 for x in vals):
-                gens.add(primitive(v))
-            elif all(x <= 0 for x in vals):
-                gens.add(primitive(_neg(v)))
+            if all(_dot(v, c) >= 0 for c in rows):
+                gens.add(v)
+            elif all(_dot(v, c) <= 0 for c in rows):
+                gens.add(_neg(v))
     return tuple(sorted(gens))
 
 
@@ -295,6 +302,8 @@ class ConePosition:
 
 def _integerize(chi: Sequence) -> Vec:
     """Scale a rational vector by a positive integer to make it integral."""
+    if all(isinstance(x, int) for x in chi):
+        return tuple(chi)
     fracs = [Fraction(x) for x in chi]
     den = 1
     for f in fracs:

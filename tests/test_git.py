@@ -8,6 +8,7 @@ over a whole parameter box lives in the acceptance suite.
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -27,6 +28,7 @@ from orbistack import (
     stability_power_invariance,
     stable_locus,
 )
+from orbistack import git, lattice
 from tests import oracles
 
 
@@ -173,6 +175,41 @@ def test_stable_locus_lists_minimal_antichain():
             for sel in combinations(range(1, n + 1), size):
                 expected = any(set(m) <= set(sel) for m in listed)
                 assert is_stable_support(action, sel).stable == expected
+
+
+def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
+    # A 3x11 action of the benchmark's shape.  Facet candidates of a
+    # support's dual cone come from its 2-column subsets, and there are
+    # only C(11, 2) of those however many supports contain them; the
+    # other kernel solves are git's StabilizerInfinite witnesses, one
+    # per support of rank < 3.
+    rows = [
+        (1, -2, -1, -2, -1, 1, 1, -2, 1, 1, 1),
+        (-1, 1, 0, 0, 0, 1, -1, 1, -2, 0, 1),
+        (0, -1, 2, -2, -2, 0, 1, 1, 1, 0, 1),
+    ]
+    action = act(rows, (0, -1, -1))
+    cols = [tuple(r[j] for r in rows) for j in range(11)]
+    deficient = sum(
+        oracles.frac_rank([cols[j] for j in sel]) < 3
+        for size in range(12)
+        for sel in combinations(range(11), size)
+    )
+    for value in vars(lattice).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    calls = []
+    solve = lattice.integer_kernel
+
+    def counting(rows, n):
+        calls.append(n)
+        return solve(rows, n)
+
+    monkeypatch.setattr(lattice, "integer_kernel", counting)
+    monkeypatch.setattr(git, "integer_kernel", counting)
+    locus = stable_locus(action)
+    assert locus.minimal_stable_supports
+    assert deficient <= len(calls) <= comb(11, 2) + deficient
 
 
 def test_stability_power_invariance():

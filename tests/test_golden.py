@@ -1,7 +1,8 @@
 """Golden corpus: the sha256 of the stdout bytes of fixed CLI jobs.
 
-The corpus is every command line example in the README plus embed,
-verify and recover on five weight systems.  A change that alters any
+The corpus is every command line example in the README, embed, verify
+and recover on five weight systems, and stable-locus and proj on
+actions of the stability benchmark's shape.  A change that alters any
 byte of these outputs fails here, so refactors of the lattice and
 embedding layers have to keep the canonical JSON exactly as it was.
 """
@@ -62,6 +63,35 @@ ROUND_TRIPS = {
     ),
 }
 
+# Benchmark-shaped actions (distinct nonzero columns, entries in [-2, 2]),
+# each also with chi scaled by 3.  proj on a 3x11 action with a nonempty
+# stable locus runs for well over 10 s (its Hilbert basis), so proj pins
+# a second 3x11 action whose semigroup is not pointed: no stable support,
+# but the whole support walk still runs.
+ACTIONS = {
+    "2x12": "1,-2,0,-2,-2,2,2,-1,1,-2,-1,2;2,-2,-1,-1,0,2,-1,-2,1,2,0,-2",
+    "3x11": "1,-2,-1,-2,-1,1,1,-2,1,1,1;-1,1,0,0,0,1,-1,1,-2,0,1;0,-1,2,-2,-2,0,1,1,1,0,1",
+    "3x11-unpointed": "-1,-1,2,0,1,1,-2,-1,2,2,-1;-1,-2,-2,0,1,0,0,0,-1,-1,-1;2,-2,0,2,1,2,2,0,0,1,1",
+}
+STABILITY_JOBS = [
+    ("stable-locus", "2x12", "-2,0",
+     "97005523e62aa6af166462dd5b0d9ea16dd52d2c2acabd8f870a824e2a11c16a"),
+    ("stable-locus", "2x12", "-6,0",
+     "ca3c95f2cd5407e84858adac0094e5fc1a937d365a51519789c8bb5e4c4cf255"),
+    ("stable-locus", "3x11", "0,-1,-1",
+     "4745f387925d29e03b542dd9ae6df4b3bf2ad6b73fd4307dd640b99647f59c58"),
+    ("stable-locus", "3x11", "0,-3,-3",
+     "39ef262e4db165fe23e06759e55453f773a6e44d9c9930de86610417fc33b1bd"),
+    ("proj", "2x12", "-2,0",
+     "8d7b08ea6506f024b0e5ca05508c11b70e20f739892178cde00fd552a14c8620"),
+    ("proj", "2x12", "-6,0",
+     "b6040fc123cb786e64531f2001a28ff27a0f6c9b2a0961a5d2a7347e0a32c937"),
+    ("proj", "3x11-unpointed", "1,2,-2",
+     "c575105540522f170976f4907eafff79081889fc4eafd2660b299b656b8660c1"),
+    ("proj", "3x11-unpointed", "3,6,-6",
+     "e52f34fa6ce6b6537458560a8665f1238c9b8d7c7631738cf7d50deb3336fbbc"),
+]
+
 
 def stdout_of(capsys, argv):
     assert cli.main(argv) == 0
@@ -88,3 +118,13 @@ def test_embed_verify_recover_bytes(capsys, monkeypatch, tmp_path, weights):
     assert digest(stdout_of(capsys, ["verify", "--data", str(path)])) == verify_hex
     monkeypatch.setattr(sys, "stdin", io.StringIO(document))
     assert digest(stdout_of(capsys, ["recover", "--data", "-"])) == recover_hex
+
+
+@pytest.mark.parametrize(
+    "command,action,chi,expected",
+    STABILITY_JOBS,
+    ids=[f"{c} {a} chi={x}" for c, a, x, _ in STABILITY_JOBS],
+)
+def test_stability_bytes(capsys, command, action, chi, expected):
+    argv = [command, f"--matrix={ACTIONS[action]}", f"--chi={chi}"]
+    assert digest(stdout_of(capsys, argv)) == expected

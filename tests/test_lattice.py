@@ -4,7 +4,9 @@ Frozen expectations are derived by hand; sweeps recompute results
 through tests.oracles, which shares no code with the package.
 """
 
+import hashlib
 import random
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -136,6 +138,41 @@ def test_dual_cone_generators_are_sound():
             assert gcd(*(abs(x) for x in gen)) == 1 if len(gen) > 1 else abs(gen[0]) == 1
             for c in cols:
                 assert sum(g * x for g, x in zip(gen, c)) >= 0
+
+
+def frozen_cone_sample():
+    """Seeded cone inputs: k in 1..4, 0-7 columns from [-3, 3]^k, rational chi."""
+    rng = random.Random(2024)
+    for _ in range(3000):
+        k = rng.randint(1, 4)
+        cols = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(rng.randint(0, 7))]
+        if cols and rng.random() < 0.2:
+            # Repeat a column or zero one out; both leave the cone unchanged.
+            cols[rng.randrange(len(cols))] = rng.choice([cols[0], (0,) * k])
+        chi = tuple(rng.randint(-3, 3) for _ in range(k))
+        if rng.random() < 0.3:
+            chi = tuple(Fraction(x, rng.randint(1, 4)) for x in chi)
+        yield k, tuple(cols), chi
+
+
+# sha256 of the outputs over frozen_cone_sample(), captured before the
+# per-subset kernel cache went in.
+FROZEN_CONE_DIGEST = "1124e7dfe188d01e176907c8f4999144a7d67f8ba08d930b353b80caf5a76b2c"
+
+
+def test_cone_outputs_match_frozen_digest():
+    h = hashlib.sha256()
+    deficient = repeated = rational = 0
+    for k, cols, chi in frozen_cone_sample():
+        pos = cone_position(chi, cols)
+        h.update(repr((dual_cone_generators(cols, k), pos.position, pos.full_dim, pos.witness)).encode())
+        # Rank strictly between 0 and k: a nonzero lineality space that
+        # still leaves facet candidates to solve.
+        deficient += 0 < oracles.frac_rank(cols) < k
+        repeated += len(set(cols)) < len(cols) or (0,) * k in cols
+        rational += any(isinstance(x, Fraction) for x in chi)
+    assert deficient >= 500 and repeated >= 300 and rational >= 600
+    assert h.hexdigest() == FROZEN_CONE_DIGEST
 
 
 def test_cone_position_frozen():
