@@ -27,13 +27,15 @@ from .errors import (
 )
 from .lattice import (
     Vec,
+    _dominates,
     _dot,
+    _minimal_elements,
     hilbert_basis,
     integer_kernel,
     sort_monomials,
     sublattice_index,
 )
-from .wps import WeightSystem, descent_modulus, is_det_ample, is_faithful, section_basis
+from .wps import WeightSystem, descent_modulus, is_det_ample, is_faithful, section_basis, strata
 
 
 @dataclass(frozen=True)
@@ -125,15 +127,6 @@ class MorphismReport:
     lands_in_stable: bool
 
 
-def _minimal_elements(vectors) -> list[tuple[int, ...]]:
-    """Antichain of componentwise-minimal elements."""
-    out: list[tuple[int, ...]] = []
-    for v in sorted(set(vectors), key=lambda t: (sum(t), t)):
-        if not any(all(o <= x for o, x in zip(m, v)) for m in out):
-            out.append(v)
-    return out
-
-
 def _polytope_normality(a: WeightSystem, big_degree: int) -> bool:
     """Degree-one generation certificate for the descended bundle.
 
@@ -170,11 +163,8 @@ def _minimal_in_residue_class(off_weights: Sequence[int], modulus: int, residue:
     minimal elements have all entries below the modulus; the box search
     is exhaustive.
     """
-    hits = []
-    for f in itertools.product(range(modulus), repeat=len(off_weights)):
-        if sum(w * x for w, x in zip(off_weights, f)) % modulus == residue:
-            hits.append(f)
-    return _minimal_elements(hits)
+    box = itertools.product(range(modulus), repeat=len(off_weights))
+    return _minimal_elements(f for f in box if _dot(off_weights, f) % modulus == residue)
 
 
 def _globally_generated(a: WeightSystem, dprime: int, m0: int, N: int) -> bool:
@@ -198,9 +188,8 @@ def _globally_generated(a: WeightSystem, dprime: int, m0: int, N: int) -> bool:
             glob = _minimal_elements(
                 tuple(e[j] for j in off) for e in section_basis(a, c).basis
             )
-            for p in mins:
-                if not any(all(g <= x for g, x in zip(gv, p)) for gv in glob):
-                    return False
+            if not all(_dominates(p, glob) for p in mins):
+                return False
     return True
 
 
@@ -471,43 +460,41 @@ def _check_stratum_separation(data: EmbeddingData) -> tuple[StratumCheck, ...]:
     must fill the stratum's relation lattice with index one.
     """
     a = data.source.weights
-    width = len(a)
     supports_of = [frozenset(j for j, x in enumerate(v) if x) for v in data.coordinates]
     reports = []
-    for size in range(1, width + 1):
-        for s in itertools.combinations(range(width), size):
-            s_set = set(s)
-            members = [
-                (data.target_weights[t], data.coordinates[t])
-                for t, sp in enumerate(supports_of)
-                if sp <= s_set
-            ]
-            g_s = gcd(*(a[j] for j in s))
-            if not members:
-                raise StabilizerNotPreserved(
-                    "no coordinate is supported inside the stratum",
-                    support=list(s),
-                    index=None,
-                )
-            weight_gcd = 0
-            for wt, _ in members:
-                weight_gcd = gcd(weight_gcd, wt)
-            if weight_gcd != g_s:
-                raise StabilizerNotPreserved(
-                    "coordinate weights do not realize the stabilizer order",
-                    support=list(s),
-                    weight_gcd=weight_gcd,
-                    stabilizer_order=g_s,
-                    index=None,
-                )
-            index = _lattice_index(s, a, members)
-            if index != 1:
-                raise StabilizerNotPreserved(
-                    "coordinate differences miss part of the stratum lattice",
-                    support=list(s),
-                    index=index if index else None,
-                )
-            reports.append(StratumCheck(s, g_s, weight_gcd, index))
+    for stratum in strata(data.source):
+        s, g_s = stratum.support, stratum.stabilizer_order
+        s_set = set(s)
+        members = [
+            (data.target_weights[t], data.coordinates[t])
+            for t, sp in enumerate(supports_of)
+            if sp <= s_set
+        ]
+        if not members:
+            raise StabilizerNotPreserved(
+                "no coordinate is supported inside the stratum",
+                support=list(s),
+                index=None,
+            )
+        weight_gcd = 0
+        for wt, _ in members:
+            weight_gcd = gcd(weight_gcd, wt)
+        if weight_gcd != g_s:
+            raise StabilizerNotPreserved(
+                "coordinate weights do not realize the stabilizer order",
+                support=list(s),
+                weight_gcd=weight_gcd,
+                stabilizer_order=g_s,
+                index=None,
+            )
+        index = _lattice_index(s, a, members)
+        if index != 1:
+            raise StabilizerNotPreserved(
+                "coordinate differences miss part of the stratum lattice",
+                support=list(s),
+                index=index if index else None,
+            )
+        reports.append(StratumCheck(s, g_s, weight_gcd, index))
     return tuple(reports)
 
 

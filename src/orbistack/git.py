@@ -21,11 +21,12 @@ from .lattice import (
     IntMatrix,
     SemigroupBasis,
     Vec,
+    _as_vec,
+    _cone_position,
     _dot,
-    cone_position,
+    _rank_cached,
     hilbert_basis,
     integer_kernel,
-    matrix_rank,
 )
 
 STABLE = "Stable"
@@ -43,12 +44,7 @@ class CharacterAction:
     character: Vec
 
     def __post_init__(self):
-        object.__setattr__(self, "character", tuple(self.character))
-        if len(self.character) != self.matrix.k:
-            raise ValueError("character length must equal the number of weight rows")
-        for c in self.character:
-            if not isinstance(c, int):
-                raise ValueError("character entries must be integers")
+        object.__setattr__(self, "character", _as_vec(self.character, self.matrix.k, "character"))
 
 
 @dataclass(frozen=True)
@@ -105,11 +101,11 @@ def representation_degree(W: IntMatrix) -> int:
 
 
 def _normalize_support(support: Iterable[int], n: int) -> tuple[int, ...]:
-    s = sorted(set(support))
+    s = tuple(support)
     for i in s:
         if not isinstance(i, int) or not 1 <= i <= n:
             raise ValueError(f"support entries must lie in 1..{n}, got {i!r}")
-    return tuple(s)
+    return tuple(sorted(set(s)))
 
 
 def is_stable_support(act: CharacterAction, support: Iterable[int]) -> StabilityCertificate:
@@ -123,15 +119,17 @@ def is_stable_support(act: CharacterAction, support: Iterable[int]) -> Stability
     """
     s = _normalize_support(support, act.matrix.cols)
     k = act.matrix.k
-    cols = tuple(act.matrix.column(i - 1) for i in s)
-    if matrix_rank(cols) < k:
+    columns = act.matrix.columns()
+    cols = tuple(columns[i - 1] for i in s)
+    if _rank_cached(cols) < k:
         # Any functional vanishing on the support weights destabilizes;
         # orient it against chi.
         lam = integer_kernel(cols, k)[0]
         if _dot(lam, act.character) > 0:
             lam = tuple(-x for x in lam)
         return StabilityCertificate(NOT_STABLE, STABILIZER_INFINITE, lam)
-    pos = cone_position(act.character, cols)
+    # Full rank, and CharacterAction has already checked the character.
+    pos = _cone_position(act.character, cols, k, True)
     if pos.position == OUTSIDE:
         return StabilityCertificate(NOT_STABLE, CHI_OUTSIDE_CONE, pos.witness)
     if pos.position == BOUNDARY:

@@ -13,10 +13,11 @@ does (cone classification).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InfiniteSolutionSet, InvariantViolation
@@ -42,7 +43,7 @@ def sort_monomials(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _neg(v: Sequence[int]) -> Vec:
@@ -65,16 +66,15 @@ class IntMatrix:
 
     entries: tuple[Vec, ...]
     cols: int
+    _columns: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cols < 1:
             raise ValueError("need at least one column")
         for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-            for x in row:
-                if not isinstance(x, int):
-                    raise ValueError("matrix entries must be integers")
+            _as_vec(row, self.cols, "matrix row")
+        columns = tuple(zip(*self.entries)) if self.entries else ((),) * self.cols
+        object.__setattr__(self, "_columns", columns)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -90,10 +90,10 @@ class IntMatrix:
         return len(self.entries)
 
     def column(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.entries)
+        return self._columns[j]
 
     def columns(self) -> tuple[Vec, ...]:
-        return tuple(self.column(j) for j in range(self.cols))
+        return self._columns
 
     def apply(self, e: Sequence[int]) -> Vec:
         if len(e) != self.cols:
@@ -320,7 +320,11 @@ def cone_position(chi: Sequence, columns: Iterable[Sequence[int]]) -> ConePositi
     chi_int = _integerize(chi)
     k = len(chi_int)
     cols = tuple(_as_vec(c, k, "column") for c in columns)
-    full_dim = matrix_rank(cols) == k
+    return _cone_position(chi_int, cols, k, matrix_rank(cols) == k)
+
+
+def _cone_position(chi_int: Vec, cols: tuple[Vec, ...], k: int, full_dim: bool) -> ConePosition:
+    """cone_position on validated input: integer chi, length-k integer columns."""
     gens = _dual_cone_generators_cached(cols, k)
     boundary_witness = None
     for lam in gens:
@@ -384,6 +388,20 @@ def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], b
     return out
 
 
+def _dominates(x: Sequence[int], found: Iterable[Sequence[int]]) -> bool:
+    """Is x componentwise at least some element of found?"""
+    return any(all(xi >= mi for xi, mi in zip(x, m)) for m in found)
+
+
+def _minimal_elements(vectors: Iterable[Sequence[int]]) -> list[Vec]:
+    """Antichain of componentwise-minimal elements, by coordinate sum then lexicographically."""
+    out: list[Vec] = []
+    for v in sorted(set(vectors), key=lambda t: (sum(t), t)):
+        if not _dominates(v, out):
+            out.append(v)
+    return out
+
+
 def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tuple[Vec, ...]:
     """Componentwise-minimal nonzero solutions of row . x = 0, x >= 0.
 
@@ -393,14 +411,13 @@ def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tupl
     minimal solutions of the homogeneous system.
     """
     rows = [tuple(r) for r in rows]
+    for r in rows:
+        if len(r) != n:
+            raise ValueError("row length does not match n")
     k = len(rows)
     cols = [tuple(r[j] for r in rows) for j in range(n)]
     zero = (0,) * k
     minimals: list[Vec] = []
-
-    def dominates_found(x: Vec) -> bool:
-        return any(all(xi >= mi for xi, mi in zip(x, m)) for m in minimals)
-
     frontier: dict[Vec, Vec] = {}
     for j in range(n):
         unit = tuple(1 if t == j else 0 for t in range(n))
@@ -410,7 +427,7 @@ def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tupl
         nxt: dict[Vec, Vec] = {}
         for x, ax in frontier.items():
             if ax == zero:
-                if not dominates_found(x):
+                if not _dominates(x, minimals):
                     minimals.append(x)
                 continue
             for j in range(n):
@@ -419,7 +436,7 @@ def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tupl
                     if y in seen:
                         continue
                     seen.add(y)
-                    if dominates_found(y):
+                    if _dominates(y, minimals):
                         continue
                     nxt[y] = tuple(a + b for a, b in zip(ax, cols[j]))
         frontier = nxt
@@ -482,6 +499,9 @@ def is_nonneg_combination(target: Sequence[int], generators: Iterable[Sequence[i
     """Is target a nonnegative integer combination of the generators?"""
     tgt = tuple(target)
     gens = [tuple(g) for g in generators]
+    for g in gens:
+        if len(g) != len(tgt):
+            raise ValueError("generator length does not match target")
     gens = [g for g in gens if any(g) and all(gi <= ti for gi, ti in zip(g, tgt))]
     failed: set[Vec] = set()
 

@@ -75,6 +75,8 @@ def test_support_validation():
         is_stable_support(weighted, (0,))
     with pytest.raises(ValueError):
         is_stable_support(weighted, (3,))
+    with pytest.raises(ValueError):
+        is_stable_support(weighted, [1, "a"])
     # Duplicate entries collapse to a set.
     assert is_stable_support(weighted, (1, 1)).stable
 
@@ -182,7 +184,8 @@ def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
     # support's dual cone come from its 2-column subsets, and there are
     # only C(11, 2) of those however many supports contain them; the
     # other kernel solves are git's StabilizerInfinite witnesses, one
-    # per support of rank < 3.
+    # per support of rank < 3.  The action's data is validated when it is
+    # built, so the sweep revalidates no column.
     rows = [
         (1, -2, -1, -2, -1, 1, 1, -2, 1, 1, 1),
         (-1, 1, 0, 0, 0, 1, -1, 1, -2, 0, 1),
@@ -205,11 +208,20 @@ def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
         calls.append(n)
         return solve(rows, n)
 
+    validations = []
+    as_vec = lattice._as_vec
+
+    def counting_as_vec(*args):
+        validations.append(args)
+        return as_vec(*args)
+
     monkeypatch.setattr(lattice, "integer_kernel", counting)
     monkeypatch.setattr(git, "integer_kernel", counting)
+    monkeypatch.setattr(lattice, "_as_vec", counting_as_vec)
     locus = stable_locus(action)
     assert locus.minimal_stable_supports
     assert deficient <= len(calls) <= comb(11, 2) + deficient
+    assert validations == []
 
 
 def test_stability_power_invariance():

@@ -4,6 +4,7 @@ Frozen expectations are derived by hand; sweeps recompute results
 through tests.oracles, which shares no code with the package.
 """
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -293,6 +294,13 @@ def test_minimal_homogeneous_solutions_single_rows_match_brute():
         assert list(got) == sorted(got, key=grlex_key)
 
 
+def test_minimal_homogeneous_solutions_rejects_row_length_mismatch():
+    with pytest.raises(ValueError):
+        minimal_homogeneous_solutions(((1, -1),), 3)
+    with pytest.raises(ValueError):
+        minimal_homogeneous_solutions(((1, -1, 2),), 2)
+
+
 def test_graded_sections_frozen():
     m13 = W((1, 3))
     assert graded_sections(m13, (1,), 0).basis == ((0, 0),)
@@ -427,6 +435,10 @@ def test_is_nonneg_combination_matches_reference():
         assert is_nonneg_combination(target, gens) == oracles.can_decompose(target, gens)
     assert is_nonneg_combination((0, 0), ())
     assert not is_nonneg_combination((1, 0), ())
+    with pytest.raises(ValueError):
+        is_nonneg_combination((2, 2), [(1,)])
+    with pytest.raises(ValueError):
+        is_nonneg_combination((2,), [(1, 1)])
 
 
 def test_lattice_spans_is_a_rational_rank_test():
@@ -442,11 +454,21 @@ def test_intmatrix_validation():
         IntMatrix(((1,),), 0)
     with pytest.raises(ValueError):
         IntMatrix(((1, 2), (1,)), 2)
+    with pytest.raises(ValueError):
+        IntMatrix(((1, 2.5),), 2)
     mat = W((1, 3))
     assert mat.k == 1 and mat.cols == 2
     assert mat.column(1) == (3,)
     assert mat.columns() == ((1,), (3,))
     assert mat.apply((3, 1)) == (6,)
+    # The stored columns are not part of equality, hash or repr.
+    assert mat == IntMatrix(((1, 3),), 2)
+    assert hash(mat) == hash((((1, 3),), 2))
+    assert repr(mat) == "IntMatrix(entries=((1, 3),), cols=2)"
+    assert dataclasses.replace(mat, entries=((2, 5),)).columns() == ((2,), (5,))
+    empty = IntMatrix((), 3)
+    assert empty.columns() == ((), (), ())
+    assert all(empty.column(j) == () for j in range(3))
 
 
 def test_results_are_deterministic():
