@@ -44,6 +44,8 @@ class CharacterAction:
     character: Vec
 
     def __post_init__(self):
+        if not isinstance(self.matrix, IntMatrix):
+            raise TypeError(f"matrix must be an IntMatrix, got {type(self.matrix).__name__}")
         object.__setattr__(self, "character", _as_vec(self.character, self.matrix.k, "character"))
 
 

@@ -78,7 +78,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        entries = tuple(tuple(row) for row in rows)
         if cols is None:
             if not entries:
                 raise ValueError("column count required for a matrix with no rows")
@@ -355,36 +355,126 @@ def positive_functional(columns: Iterable[Sequence[int]], k: int) -> Vec | None:
     return None
 
 
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in m]
+    size = len(a)
+    sign, prev = 1, 1
+    for c in range(size - 1):
+        piv = next((i for i in range(c, size) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        for i in range(c + 1, size):
+            for j in range(c + 1, size):
+                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
+        prev = a[c][c]
+    return sign * a[-1][-1] if size else 1
+
+
+@lru_cache(maxsize=1024)
+def _pivot_plan(cols: tuple[Vec, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Vec, ...], int]:
+    """Pivots for _bounded_solutions: (rows, pivot columns, adjugate, det).
+
+    With r the rank, rows are the first r independent rows and the pivot
+    columns the r-subset whose minor B on those rows has the smallest
+    nonzero |det|.  The adjugate is signed so that det > 0 and
+    B^-1 = adj / det.
+    """
+    k = len(cols[0])
+    r = _rank_cached(cols)
+    rows = next(
+        rs for rs in itertools.combinations(range(k), r)
+        if _rank_cached(tuple(tuple(c[i] for i in rs) for c in cols)) == r
+    )
+    det, pivots, signed = min(
+        (abs(d), ps, d)
+        for ps in itertools.combinations(range(len(cols)), r)
+        if (d := _det([[cols[j][i] for j in ps] for i in rows]))
+    )
+    b = [[cols[j][i] for j in pivots] for i in rows]
+    sign = 1 if signed > 0 else -1
+    adj = tuple(
+        tuple(
+            sign * (-1) ** (i + j)
+            * _det([row[:i] + row[i + 1:] for t, row in enumerate(b) if t != j])
+            for j in range(r)
+        )
+        for i in range(r)
+    )
+    return rows, pivots, adj, det
+
+
 def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], budget: int) -> list[Vec]:
     """All e >= 0 with sum_j e_j * cols[j] == target, pruned by a strict functional.
 
     costs[j] > 0 is the functional's value on column j and the functional
-    takes value ``budget`` on the target, so exponents are boxed.
+    takes value ``budget`` on the target, so exponents are boxed.  Only
+    the non-pivot exponents are enumerated, inside that box; the pivots
+    are recovered exactly as x_B = adj(B) . res / det B and a point is
+    kept when the division is exact and x_B >= 0.  The last free exponent
+    is not enumerated: x_B is affine in it, so the sign constraints give
+    its range and the divisibility constraints a residue class.  Rows
+    outside the pivot rows are rational combinations of them and are
+    checked on every point kept.
     """
+    rows, pivots, adj, det = _pivot_plan(tuple(cols))
     n = len(cols)
-    k = len(target)
+    # The cheapest column, with the widest range, goes last, where its
+    # range is computed rather than enumerated.
+    free = sorted((j for j in range(n) if j not in pivots), key=lambda j: -costs[j])
+    # The residual in pivot coordinates: adj . (target - sum e_j cols[j]).
+    moved = [tuple(_dot(a, [cols[j][i] for i in rows]) for a in adj) for j in free]
+    start = tuple(_dot(a, [target[i] for i in rows]) for a in adj)
     out: list[Vec] = []
     e = [0] * n
 
-    def rec(j: int, res: Vec, b: int) -> None:
-        if j == n - 1:
-            c = costs[j]
-            t, rem = divmod(b, c)
-            if rem == 0:
-                col = cols[j]
-                if all(col[i] * t == res[i] for i in range(k)):
-                    e[j] = t
-                    out.append(tuple(e))
-                    e[j] = 0
+    def last(j: int, v: Vec, u: Vec, hi: int) -> None:
+        lo = 0
+        for ui, vi in zip(u, v):
+            if vi > 0:
+                hi = min(hi, ui // vi)
+            elif vi < 0:
+                lo = max(lo, -(ui // -vi))
+            elif ui < 0:
+                return
+        # Every t with u - t v = 0 mod det is in one class mod step.
+        step = det // gcd(det, *v)
+        t0 = next(
+            (t for t in range(lo, min(hi, lo + step - 1) + 1)
+             if all((ui - t * vi) % det == 0 for ui, vi in zip(u, v))),
+            None,
+        )
+        if t0 is None:
             return
-        col = cols[j]
-        c = costs[j]
+        count = (hi - t0) // step + 1
+        columns = [itertools.repeat(x, count) for x in e]
+        columns[j] = range(t0, hi + 1, step)
+        for p, ui, vi in zip(pivots, u, v):
+            x0, dx = (ui - t0 * vi) // det, -step * vi // det
+            columns[p] = range(x0, x0 + dx * count, dx) if dx else itertools.repeat(x0, count)
+        out.extend(zip(*columns))
+
+    def rec(depth: int, u: Vec, b: int) -> None:
+        j, v, c = free[depth], moved[depth], costs[free[depth]]
+        if depth == len(free) - 1:
+            last(j, v, u, b // c)
+            return
         for t in range(b // c + 1):
             e[j] = t
-            rec(j + 1, tuple(res[i] - col[i] * t for i in range(k)), b - c * t)
-        e[j] = 0
+            rec(depth + 1, u, b - c * t)
+            u = tuple(ui - vi for ui, vi in zip(u, v))
 
-    rec(0, target, budget)
+    if free:
+        rec(0, start, budget)
+    elif all(ui >= 0 and ui % det == 0 for ui in start):
+        # Every column is a pivot, in order.
+        out.append(tuple(ui // det for ui in start))
+    if len(rows) < len(target):
+        full = tuple(zip(*cols))
+        out = [x for x in out if all(_dot(full[i], x) == target[i] for i in range(len(target)))]
     return out
 
 
@@ -417,18 +507,24 @@ def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tupl
     k = len(rows)
     cols = [tuple(r[j] for r in rows) for j in range(n)]
     zero = (0,) * k
-    minimals: list[Vec] = []
-    frontier: dict[Vec, Vec] = {}
+    # Minimal solutions bucketed by support bitmask: x can only dominate
+    # a solution whose support lies inside its own.
+    minimals: dict[int, list[Vec]] = {}
+
+    def dominated(x: Vec, mask: int) -> bool:
+        return any(_dominates(x, group) for bits, group in minimals.items() if not bits & ~mask)
+
+    frontier: dict[Vec, tuple[Vec, int]] = {}
     for j in range(n):
         unit = tuple(1 if t == j else 0 for t in range(n))
-        frontier[unit] = cols[j]
+        frontier[unit] = (cols[j], 1 << j)
     seen = set(frontier)
     while frontier:
-        nxt: dict[Vec, Vec] = {}
-        for x, ax in frontier.items():
+        nxt: dict[Vec, tuple[Vec, int]] = {}
+        for x, (ax, mask) in frontier.items():
             if ax == zero:
-                if not _dominates(x, minimals):
-                    minimals.append(x)
+                if not dominated(x, mask):
+                    minimals.setdefault(mask, []).append(x)
                 continue
             for j in range(n):
                 if _dot(ax, cols[j]) < 0:
@@ -436,11 +532,12 @@ def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tupl
                     if y in seen:
                         continue
                     seen.add(y)
-                    if _dominates(y, minimals):
+                    ymask = mask | 1 << j
+                    if dominated(y, ymask):
                         continue
-                    nxt[y] = tuple(a + b for a, b in zip(ax, cols[j]))
+                    nxt[y] = (tuple(a + b for a, b in zip(ax, cols[j])), ymask)
         frontier = nxt
-    return tuple(sorted(minimals, key=grlex_key))
+    return tuple(sorted((x for group in minimals.values() for x in group), key=grlex_key))
 
 
 def _recession_direction(W: IntMatrix) -> Vec:
@@ -534,9 +631,12 @@ def hilbert_basis(
     directions) are reported separately and flip ``pointed`` to False.
 
     When the semigroup is pointed, completeness is optionally re-checked
-    by decomposing every element of the graded pieces up to
-    ``certify_degree`` (default: four times the largest generator
-    degree).
+    against every element of the graded pieces up to ``certify_degree``
+    (default: four times the largest generator degree), degree by degree.
+    Each element x only has to dominate some generator g: then x - g is
+    a solution of lower degree, already certified (degree 0 holds only
+    the zero vector, since the semigroup is pointed), so x decomposes.
+    No element is decomposed.
     """
     chi_v = _as_vec(chi, W.k, "character")
     aug = [W.entries[i] + (-chi_v[i],) for i in range(W.k)]
@@ -560,7 +660,7 @@ def hilbert_basis(
         flat = [g + (m,) for g, m in gens]
         for mm in range(1, bound + 1):
             for e in graded_sections(W, chi_v, mm).basis:
-                if not is_nonneg_combination(e + (mm,), flat):
+                if not _dominates(e + (mm,), flat):
                     raise InvariantViolation(
                         "generator completeness failed", degree=mm, monomial=list(e)
                     )

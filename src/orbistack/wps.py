@@ -34,7 +34,7 @@ class WeightSystem:
     def of(cls, weights) -> "WeightSystem":
         if isinstance(weights, WeightSystem):
             return weights
-        return cls(tuple(int(w) for w in weights))
+        return cls(tuple(weights))
 
     def matrix(self) -> IntMatrix:
         return IntMatrix((self.weights,), len(self.weights))

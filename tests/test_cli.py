@@ -300,7 +300,12 @@ def test_malformed_certification_block_exits_2(capsys, monkeypatch, certificatio
 
 
 def test_internal_invariant_failure_exits_1_with_one_document(capsys, monkeypatch):
-    monkeypatch.setattr(lattice, "is_nonneg_combination", lambda target, gens: False)
+    search = lattice.minimal_homogeneous_solutions
+    monkeypatch.setattr(
+        lattice,
+        "minimal_homogeneous_solutions",
+        lambda rows, n: tuple(s for s in search(rows, n) if s != (1, 0, 1)),
+    )
     code, out = run(capsys, ["proj", "--matrix", "1,3", "--chi", "1"])
     assert code == 1
     assert out.count("\n") == 1

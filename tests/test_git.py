@@ -88,6 +88,12 @@ def test_character_validation():
         CharacterAction(IntMatrix.from_rows([(1, 3)]), (1.5,))
 
 
+def test_action_matrix_must_be_an_intmatrix():
+    for matrix in [((1, 3),), [[1, 3]], None]:
+        with pytest.raises(TypeError):
+            CharacterAction(matrix, (1,))
+
+
 def test_unstable_witnesses_destabilize():
     # Every failure certificate carries a one-parameter subgroup that is
     # nonnegative on the support weights and nonpositive on chi.

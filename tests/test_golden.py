@@ -72,6 +72,7 @@ ACTIONS = {
     "2x12": "1,-2,0,-2,-2,2,2,-1,1,-2,-1,2;2,-2,-1,-1,0,2,-1,-2,1,2,0,-2",
     "3x11": "1,-2,-1,-2,-1,1,1,-2,1,1,1;-1,1,0,0,0,1,-1,1,-2,0,1;0,-1,2,-2,-2,0,1,1,1,0,1",
     "3x11-unpointed": "-1,-1,2,0,1,1,-2,-1,2,2,-1;-1,-2,-2,0,1,0,0,0,-1,-1,-1;2,-2,0,2,1,2,2,0,0,1,1",
+    "2x5": "-2,3,3,1,2;3,4,2,0,2",
 }
 STABILITY_JOBS = [
     ("stable-locus", "2x12", "-2,0",
@@ -90,6 +91,10 @@ STABILITY_JOBS = [
      "c575105540522f170976f4907eafff79081889fc4eafd2660b299b656b8660c1"),
     ("proj", "3x11-unpointed", "3,6,-6",
      "e52f34fa6ce6b6537458560a8665f1238c9b8d7c7631738cf7d50deb3336fbbc"),
+    # A pointed 2x5 action with 71 generators up to degree 17, so the
+    # completeness sweep runs through degree 68.
+    ("proj", "2x5", "1,2",
+     "d3c6073964244951ee0c3a6221b6ca72d14ba29bef42970d0b9f43ccb67be677"),
 ]
 
 

@@ -324,6 +324,70 @@ def test_graded_sections_match_box_enumeration():
             assert piece.basis == canonical(piece.basis)
 
 
+def frozen_graded_sample():
+    """Seeded graded pieces: k in 1..3 rows, k..6 columns, degrees 0..5.
+
+    The first row is positive so most pieces are finite.  A quarter of
+    the multi-row inputs get a dependent last row, and a fifth get a
+    repeated or zero column; a zero column makes the piece infinite or
+    empty, so those inputs stay at degree 2 or less.
+    """
+    rng = random.Random(2025)
+    for _ in range(1500):
+        k = rng.randint(1, 3)
+        n = rng.randint(k, 6)
+        rows = [[rng.randint(1, 3) for _ in range(n)]]
+        rows += [[rng.randint(-2, 3) for _ in range(n)] for _ in range(k - 1)]
+        if k >= 2 and rng.random() < 0.25:
+            a, b = rng.randint(-1, 2), rng.randint(-1, 2)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+        top = 5
+        if rng.random() < 0.2:
+            j = rng.randrange(n)
+            zero = rng.random() < 0.3
+            for r in rows:
+                r[j] = 0 if zero else r[0]
+            if zero:
+                top = 2
+        chi = (rng.randint(0, 3),) + tuple(rng.randint(-2, 3) for _ in range(k - 1))
+        yield IntMatrix.from_rows(rows), chi, rng.randint(0, top)
+
+
+# sha256 of the outputs over frozen_graded_sample(), captured before
+# graded pieces were enumerated by pivot elimination.
+FROZEN_GRADED_DIGEST = "cbae1b88a18d20d4d72b4a517d821cdd2a09cb8baedd3661d30ec42894ab50ef"
+
+
+def test_graded_outputs_match_frozen_digest():
+    h = hashlib.sha256()
+    counts = dict.fromkeys(
+        ("two_rows", "three_rows", "deficient", "repeated", "zero", "square", "empty", "infinite", "large"), 0
+    )
+    for mat, chi, m in frozen_graded_sample():
+        try:
+            out = graded_sections(mat, chi, m).basis
+        except InfiniteSolutionSet as exc:
+            out = exc.witness
+            counts["infinite"] += 1
+        else:
+            counts["empty"] += not out
+            counts["large"] += len(out) >= 20
+        h.update(repr((mat.entries, chi, m, out)).encode())
+        cols = mat.columns()
+        counts["two_rows"] += mat.k == 2
+        counts["three_rows"] += mat.k == 3
+        counts["deficient"] += oracles.frac_rank(mat.entries) < mat.k
+        counts["repeated"] += len(set(cols)) < len(cols)
+        counts["zero"] += (0,) * mat.k in cols
+        counts["square"] += mat.cols == mat.k
+    minimum = dict(
+        two_rows=400, three_rows=400, deficient=200, repeated=500, zero=60,
+        square=200, empty=500, infinite=30, large=50,
+    )
+    assert all(counts[case] >= floor for case, floor in minimum.items()), counts
+    assert h.hexdigest() == FROZEN_GRADED_DIGEST
+
+
 def test_graded_sections_empty_and_infinite():
     skew = W((2, -2))
     assert graded_sections(skew, (1,), 1).basis == ()
@@ -389,8 +453,20 @@ def test_hilbert_basis_generates_all_graded_pieces():
             assert oracles.can_decompose(e + (m,), gens)
 
 
+def drop_minimal_solution(monkeypatch, dropped):
+    """Make minimal_homogeneous_solutions lose one solution, as a faulty search would."""
+    search = lattice.minimal_homogeneous_solutions
+    monkeypatch.setattr(
+        lattice,
+        "minimal_homogeneous_solutions",
+        lambda rows, n: tuple(s for s in search(rows, n) if s != dropped),
+    )
+
+
 def test_hilbert_basis_completeness_failure_is_typed(monkeypatch):
-    monkeypatch.setattr(lattice, "is_nonneg_combination", lambda target, gens: False)
+    # Without (1, 0, 1) the only generator left is x_1 in degree 3, so
+    # the sweep finds x_0 in degree 1 undominated.
+    drop_minimal_solution(monkeypatch, (1, 0, 1))
     with pytest.raises(InvariantViolation) as exc:
         hilbert_basis(W((1, 3)), (1,))
     assert exc.value.witness == {"degree": 1, "monomial": [1, 0]}
@@ -456,6 +532,12 @@ def test_intmatrix_validation():
         IntMatrix(((1, 2), (1,)), 2)
     with pytest.raises(ValueError):
         IntMatrix(((1, 2.5),), 2)
+    # from_rows rejects non-integers as the constructor does, rather than
+    # truncating them.
+    for rows in [[(1.7, 3)], [(1, 3), (2, 4.0)], [("1", "3")]]:
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows(rows)
+    assert IntMatrix.from_rows([[1, 3], (2, 4)]) == IntMatrix(((1, 3), (2, 4)), 2)
     mat = W((1, 3))
     assert mat.k == 1 and mat.cols == 2
     assert mat.column(1) == (3,)

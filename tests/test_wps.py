@@ -38,6 +38,12 @@ def test_weight_system_validation():
         WeightSystem.of(())
     with pytest.raises(ValueError):
         ws.degree((1,))
+    # Non-integer weights are rejected, not truncated to (1, 3).
+    for bad in [(1.5, 3), (1, 3.0), ("1", "3")]:
+        with pytest.raises(ValueError):
+            WeightSystem.of(bad)
+    with pytest.raises(ValueError):
+        section_basis((1.5, 3), 3)
 
 
 def test_section_basis_frozen():
