@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -130,29 +131,36 @@ class MorphismReport:
 def _polytope_normality(a: WeightSystem, big_degree: int) -> bool:
     """Degree-one generation certificate for the descended bundle.
 
-    The sections of the descended degree span a lattice simplex of
-    dimension n (the descent modulus divides the degree, so the vertices
-    are integral).  Lattice points of the j-th dilation decompose as
-    j-fold sums automatically once j reaches the dimension, so only
-    j = 2 .. n-1 need checking.
+    The sections of the descended degree D span a lattice simplex of
+    dimension n (the descent modulus divides D, so the vertices are
+    integral).  Lattice points of the j-th dilation decompose as j-fold
+    sums automatically once j reaches the dimension (Bruns-Gubeladze-
+    Trung), so only j = 2 .. n-1 need checking.  A degree-jD monomial z
+    splits off a degree-D monomial g exactly when g <= z, and then the
+    rest z - g is a degree-(j-1)D monomial, so the certificate is that
+    every such z dominates some degree-D monomial.  That is a bounded
+    subset sum: does some g with 0 <= g_i <= z_i reach sum a_i g_i = D?
+    It is decided exactly on an int bitset of the reachable sums 0..D.
     """
-    n = len(a.weights) - 1
+    w = a.weights
+    n = len(w) - 1
     if n <= 2:
         return True
-    base = section_basis(a, big_degree).basis
-    prev = set(base)
+    full = (1 << (big_degree + 1)) - 1
+    target = 1 << big_degree
+    caps = [big_degree // ai for ai in w]
     for j in range(2, n):
-        cur = section_basis(a, j * big_degree).basis
-        for z in cur:
-            hit = False
-            for g in base:
-                rest = tuple(zi - gi for zi, gi in zip(z, g))
-                if all(x >= 0 for x in rest) and rest in prev:
-                    hit = True
+        for z in section_basis(a, j * big_degree).basis:
+            reach = 1
+            for ai, zi, cap in zip(w, z, caps):
+                step = reach
+                for _ in range(min(zi, cap)):
+                    step = (step << ai) & full
+                    reach |= step
+                if reach & target:
                     break
-            if not hit:
+            else:
                 return False
-        prev = set(cur)
     return True
 
 
@@ -167,7 +175,16 @@ def _minimal_in_residue_class(off_weights: Sequence[int], modulus: int, residue:
     return _minimal_elements(f for f in box if _dot(off_weights, f) % modulus == residue)
 
 
-def _globally_generated(a: WeightSystem, dprime: int, m0: int, N: int) -> bool:
+def _piece(a: WeightSystem, d: int, pieces: dict[int, tuple[Vec, ...]]) -> tuple[Vec, ...]:
+    """The degree-d section basis, enumerated at most once per pieces dict."""
+    if d not in pieces:
+        pieces[d] = section_basis(a, d).basis
+    return pieces[d]
+
+
+def _globally_generated(
+    a: WeightSystem, dprime: int, m0: int, N: int, pieces: dict[int, tuple[Vec, ...]]
+) -> bool:
     """Do global sections span each twisted module on every coarse chart?
 
     Chart i inverts coordinate i.  The local twisted module in degree
@@ -185,9 +202,7 @@ def _globally_generated(a: WeightSystem, dprime: int, m0: int, N: int) -> bool:
             mins = _minimal_in_residue_class(off_w, ai, c % ai)
             if not mins:
                 continue
-            glob = _minimal_elements(
-                tuple(e[j] for j in off) for e in section_basis(a, c).basis
-            )
+            glob = _minimal_elements(tuple(e[j] for j in off) for e in _piece(a, c, pieces))
             if not all(_dominates(p, glob) for p in mins):
                 return False
     return True
@@ -218,10 +233,11 @@ def find_embedding_data(a, dprime: int, *, max_candidates: int = 16) -> Embeddin
     step = step_base // gcd(step_base, dprime)
     tried = []
     chosen = None
+    pieces: dict[int, tuple[Vec, ...]] = {}
     for t in range(1, max_candidates + 1):
         candidate = t * step
         normal = _polytope_normality(a, candidate * dprime)
-        generated = _globally_generated(a, dprime, m0, candidate) if normal else None
+        generated = _globally_generated(a, dprime, m0, candidate, pieces) if normal else None
         tried.append({"N": candidate, "normality": normal, "generation": generated})
         if normal and generated:
             chosen = candidate
@@ -235,9 +251,7 @@ def find_embedding_data(a, dprime: int, *, max_candidates: int = 16) -> Embeddin
         )
 
     V1 = section_basis(a, chosen * dprime).basis
-    blocks = tuple(
-        section_basis(a, (m + chosen) * dprime).basis for m in range(1, m0 + 1)
-    )
+    blocks = tuple(_piece(a, (m + chosen) * dprime, pieces) for m in range(1, m0 + 1))
     weights_out = [chosen] * len(V1)
     for m, block in enumerate(blocks, start=1):
         weights_out.extend([m + chosen] * len(block))
@@ -379,21 +393,33 @@ def _check_chart_generation(data: EmbeddingData) -> tuple[ChartCheck, ...]:
     fits under it away from the chart support.  The test runs on the
     minimal generators of the section semigroup, which suffices because
     the fitting property is multiplicative.
+
+    A generator e of degree m whose product with the chart monomial is
+    itself in block m fits alone.  Otherwise the search depends on the
+    chart only through its off-support, of which there are at most
+    2^n - 1, so the blocks are projected once per off-support, when a
+    search first needs them, and each verdict is kept per (off-support,
+    generator).
     """
     generators = _section_generators(data)
     block_sets = [set(block) for block in data.V2_blocks]
+    projections: dict[tuple[int, ...], list[list[Vec]]] = {}
+    reached: set[tuple[tuple[int, ...], int]] = set()
     reports = []
     for s in data.V1:
-        supp = {j for j, x in enumerate(s) if x}
-        off = tuple(j for j in range(len(s)) if j not in supp)
-        per_block = [
-            sorted({tuple(v[j] for j in off) for v in block})
-            for block in data.V2_blocks
-        ]
-        for e, m in generators:
-            padded = tuple(x + y for x, y in zip(e, s))
+        off = tuple(j for j, x in enumerate(s) if not x)
+        for k, (e, m) in enumerate(generators):
+            padded = tuple(map(add, e, s))
             if 1 <= m <= len(block_sets) and padded in block_sets[m - 1]:
                 continue
+            if (off, k) in reached:
+                continue
+            per_block = projections.get(off)
+            if per_block is None:
+                per_block = projections[off] = [
+                    sorted({tuple(v[j] for j in off) for v in block})
+                    for block in data.V2_blocks
+                ]
             if not _multiset_reaches(e, m, off, per_block):
                 raise ChartGenerationFailed(
                     "chart sections are not generated by the designated coordinates",
@@ -401,6 +427,7 @@ def _check_chart_generation(data: EmbeddingData) -> tuple[ChartCheck, ...]:
                     monomial=list(e),
                     degree=m,
                 )
+            reached.add((off, k))
         reports.append(ChartCheck(s, len(generators)))
     return tuple(reports)
 

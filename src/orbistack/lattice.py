@@ -39,7 +39,13 @@ def grlex_key(e: Sequence[int]):
 
 
 def sort_monomials(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
-    return tuple(sorted((tuple(v) for v in vectors), key=grlex_key))
+    """The vectors in grlex_key order, without a Python key per vector.
+
+    Descending lex, then a stable descending sort by total degree, gives
+    exactly the grlex_key order: ties in degree keep the lex order.
+    """
+    lex = sorted((tuple(v) for v in vectors), reverse=True)
+    return tuple(sorted(lex, key=sum, reverse=True))
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

@@ -3,8 +3,9 @@
 Everything here recomputes package results by a different route: ranks
 via Fraction Gaussian elimination, lattice membership via minor gcds,
 solution sets via box enumeration, stability via bounded search over
-one-parameter subgroups, chart generation via literal multiset search.
-Slow and obvious on purpose; nothing imports from the package.
+one-parameter subgroups, chart generation via literal multiset search,
+normality via the literal decomposition scan.  Slow and obvious on
+purpose; nothing imports from the package.
 """
 
 from fractions import Fraction
@@ -271,4 +272,49 @@ def stratum_separated(weights, support, members) -> bool:
     for b in single_row_kernel_basis(ws):
         if not in_lattice(b, restricted):
             return False
+    return True
+
+
+def monomials_of_degree(weights, degree) -> list[tuple[int, ...]]:
+    """Every e >= 0 with sum weights[i] e[i] == degree, by recursion."""
+    weights = tuple(weights)
+    out = []
+
+    def rec(i, rest, prefix):
+        if i == len(weights) - 1:
+            if rest % weights[i] == 0:
+                out.append(prefix + (rest // weights[i],))
+            return
+        for x in range(rest // weights[i] + 1):
+            rec(i + 1, rest - x * weights[i], prefix + (x,))
+
+    if weights and degree >= 0:
+        rec(0, degree, ())
+    return out
+
+
+def normality_by_scan(weights, degree) -> bool:
+    """Degree-one generation of the degree-D section simplex, by scan.
+
+    Every monomial of degree j*D, 2 <= j <= n-1 (n + 1 weights), must be
+    some degree-D monomial plus a monomial of degree (j-1)*D: each
+    candidate difference is looked up in the previous dilation.
+    """
+    n = len(weights) - 1
+    if n <= 2:
+        return True
+    base = monomials_of_degree(weights, degree)
+    prev = set(base)
+    for j in range(2, n):
+        cur = monomials_of_degree(weights, j * degree)
+        for z in cur:
+            hit = False
+            for g in base:
+                rest = tuple(zi - gi for zi, gi in zip(z, g))
+                if all(x >= 0 for x in rest) and rest in prev:
+                    hit = True
+                    break
+            if not hit:
+                return False
+        prev = set(cur)
     return True

@@ -10,6 +10,7 @@ computations on small weight systems.
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,7 +30,8 @@ from orbistack import (
     section_basis,
     verify_immersion,
 )
-from orbistack.embed import _lattice_index
+from orbistack import embed
+from orbistack.embed import _lattice_index, _polytope_normality
 from tests import oracles
 
 GENUINE = [
@@ -461,3 +463,84 @@ def test_morphism_validation():
 
 def test_embedding_data_is_deterministic():
     assert find_embedding_data((2, 3), 1) == find_embedding_data((2, 3), 1)
+
+
+def test_polytope_normality_matches_scan_oracle():
+    # The bitset subset sum against the literal decomposition scan, on
+    # seeded 4- and 5-weight systems at arbitrary degrees (not only the
+    # descended ones), so both verdicts occur often.
+    rng = random.Random(8)
+    verdicts = Counter()
+    for _ in range(400):
+        weights = tuple(rng.randint(1, 6) for _ in range(rng.randint(4, 5)))
+        degree = rng.randint(1, 12)
+        expected = oracles.normality_by_scan(weights, degree)
+        assert _polytope_normality(WeightSystem.of(weights), degree) == expected, (weights, degree)
+        verdicts[expected] += 1
+    assert verdicts[False] >= 100
+    assert verdicts[True] >= 50
+
+
+def with_blocks(data, blocks):
+    """data with its V2 blocks replaced, coordinates and weights to match."""
+    return dataclasses.replace(
+        data,
+        V2_blocks=blocks,
+        coordinates=data.V1 + tuple(v for block in blocks for v in block),
+        target_weights=(data.N,) * len(data.V1)
+        + tuple(data.N + m for m, block in enumerate(blocks, start=1) for _ in block),
+    )
+
+
+def test_chart_projection_once_per_support(monkeypatch):
+    calls = []
+    search = embed._multiset_reaches
+
+    def counting(e, m, off, per_block):
+        calls.append((off, e, m, per_block))
+        return search(e, m, off, per_block)
+
+    def off_supports(data):
+        return {tuple(j for j, x in enumerate(s) if not x) for s in data.V1}
+
+    def assert_once_per_support(data):
+        # One projection per off-support, shared by every search on it,
+        # and no (off-support, generator) pair searched twice.
+        projections = {}
+        for off, _, _, per_block in calls:
+            assert projections.setdefault(off, per_block) is per_block
+        assert set(projections) <= off_supports(data)
+        assert len({(off, e, m) for off, e, m, _ in calls}) == len(calls)
+
+    monkeypatch.setattr(embed, "_multiset_reaches", counting)
+    # The witness is the first failing chart in V1 order, and on it the
+    # first failing generator in generator order.
+    dropped_witness = {
+        (3, 5, 7): {"chart": [0, 0, 15], "monomial": [0, 0, 1], "degree": 7},
+        (1, 2, 3, 5): {"chart": [0, 0, 0, 6], "monomial": [0, 0, 0, 1], "degree": 5},
+    }
+    for weights, witness in dropped_witness.items():
+        data = find_embedding_data(weights, 1)
+        # On genuine data every chart times every generator is a block
+        # monomial, so no search runs at all.
+        calls.clear()
+        assert verify_immersion(data).verdict == "pass"
+        assert calls == []
+
+        # Without the heaviest (last) variable's pure power in the top block.
+        top = tuple(v for v in data.V2_blocks[-1] if any(v[:-1]))
+        dropped = with_blocks(data, data.V2_blocks[:-1] + (top,))
+        with pytest.raises(ChartGenerationFailed) as exc:
+            verify_immersion(dropped)
+        assert exc.value.witness == witness
+        assert_once_per_support(dropped)
+
+    # Without any full-support block monomial, every full-support chart
+    # needs a search per generator: searching per chart would make 150
+    # searches on (3, 5, 7) and 58 projections.
+    data = find_embedding_data((3, 5, 7), 1)
+    data = with_blocks(data, tuple(tuple(v for v in b if not all(v)) for b in data.V2_blocks))
+    calls.clear()
+    assert verify_immersion(data).verdict == "pass"
+    assert calls
+    assert_once_per_support(data)

@@ -1,7 +1,7 @@
 """Golden corpus: the sha256 of the stdout bytes of fixed CLI jobs.
 
 The corpus is every command line example in the README, embed, verify
-and recover on five weight systems, and stable-locus and proj on
+and recover on six weight systems, and stable-locus and proj on
 actions of the stability benchmark's shape.  A change that alters any
 byte of these outputs fails here, so refactors of the lattice and
 embedding layers have to keep the canonical JSON exactly as it was.
@@ -60,6 +60,13 @@ ROUND_TRIPS = {
         "5f0b855ed1bde36cabdf3d36bbeb45f0db4d5abadd3709cc5efabbba72e4fa47",
         "23183491ded4f9288987a21eb2533425f9e32ffd08a56c5f57ce4d57ce0c86e2",
         "ce413d2b32aeea5d183fcc959bd85a8e61efaec33338631fa5e71e66fef41f05",
+    ),
+    # N = 210 gives 8,276 charts: the normality certificate and the
+    # per-chart projections stopped embed and verify scaling here.
+    "2,3,5,7": (
+        "62a4dc9da7724388a2605b0add440cccb3eb79b71c8fb400162738c09583192c",
+        "6c9257df3b84c1247bcf261a476777448f7c01d6caeabd5c5394fa27aa2345af",
+        "bff14bf3b5216e0eab96b80a049edc12e8849ccb402bc37efb25776b52b2d6e9",
     ),
 }
 

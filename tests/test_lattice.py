@@ -52,6 +52,17 @@ def test_sort_monomials_by_total_degree_then_lexicographically():
     assert sort_monomials([(1, 0), (1, 0)]) == ((1, 0), (1, 0))
 
 
+def test_sort_monomials_matches_the_grlex_key_sort():
+    # The two stable sorts give exactly the order of the key, on lists
+    # with many degree ties and repeated vectors, given as lists.
+    rng = random.Random(12)
+    for _ in range(300):
+        width = rng.randint(1, 5)
+        vectors = [[rng.randint(0, 3) for _ in range(width)] for _ in range(rng.randint(0, 40))]
+        expected = tuple(sorted((tuple(v) for v in vectors), key=grlex_key))
+        assert sort_monomials(vectors) == expected == canonical(map(tuple, vectors))
+
+
 def test_matrix_rank_matches_fraction_elimination():
     for entries in product((-2, -1, 0, 1, 2), repeat=4):
         rows = (entries[:2], entries[2:])
