@@ -318,3 +318,61 @@ def normality_by_scan(weights, degree) -> bool:
                 return False
         prev = set(cur)
     return True
+
+
+def minimal_stable_supports_by_walk(columns, chi, bound) -> tuple[tuple[int, ...], ...]:
+    """Minimal stable supports (1-based) by classifying all 2^n supports.
+
+    A support is stable when its columns have rank k (some k of them are
+    independent, by Fraction elimination) and no nonzero lam
+    in the box [-bound, bound]^k has lam.w >= 0 on the support and
+    lam.chi <= 0.  The box is complete when it holds one generalized
+    cross product of any k - 1 of the columns and chi: the destabilizers
+    form the cone {lam : lam.w >= 0, lam.chi <= 0}, and a nonzero such
+    cone has an extreme ray or a line cut out by k - 1 independent
+    tight constraints, proportional to the cross product of those
+    vectors (a vector and a unit vector, when they span less).  With
+    entries in [-2, 2] that needs bound 1 for k = 1, bound 2 for k = 2
+    (a rotated vector) and bound 8 for k = 3 (2 x 2 minors).
+
+    Every verdict is kept, and the family must be upward closed: each
+    stable support contains a minimal one, and each support containing
+    a minimal one is stable.  Minimal supports are listed by size, then
+    in combinations order.
+    """
+    cols = [tuple(c) for c in columns]
+    chi = tuple(chi)
+    k, n = len(chi), len(cols)
+    lambdas = [l for l in product(range(-bound, bound + 1), repeat=k) if any(l)]
+    full = (1 << len(lambdas)) - 1
+
+    def pairing_mask(v, keep):
+        return sum(
+            1 << b for b, l in enumerate(lambdas) if keep(sum(x * y for x, y in zip(l, v)))
+        )
+
+    colmask = [pairing_mask(c, lambda p: p >= 0) for c in cols]
+    chimask = pairing_mask(chi, lambda p: p <= 0)
+
+    # Rank k means k independent columns: keep the spanning k-subsets.
+    bases = [
+        sum(1 << j for j in sel)
+        for sel in combinations(range(n), k)
+        if frac_rank([cols[j] for j in sel]) == k
+    ]
+
+    verdicts = {}
+    minimal = []
+    for size in range(n + 1):
+        for sel in combinations(range(n), size):
+            bits = sum(1 << j for j in sel)
+            mask = full
+            for j in sel:
+                mask &= colmask[j]
+            stable = any(b & bits == b for b in bases) and not mask & chimask
+            verdicts[bits] = stable
+            if stable and not any(m & bits == m for m in minimal):
+                minimal.append(bits)
+    for bits, stable in verdicts.items():
+        assert stable == any(m & bits == m for m in minimal), ("not upward closed", bits)
+    return tuple(tuple(j + 1 for j in range(n) if m >> j & 1) for m in minimal)

@@ -7,7 +7,7 @@ over a whole parameter box lives in the acceptance suite.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -185,13 +185,48 @@ def test_stable_locus_lists_minimal_antichain():
                 assert is_stable_support(action, sel).stable == expected
 
 
+# Destabilizer box that makes the full-walk oracle complete for entries
+# in [-2, 2] (see oracles.minimal_stable_supports_by_walk).
+WALK_BOUND = {1: 1, 2: 2, 3: 8}
+
+
+def test_stable_locus_matches_full_walk_oracle():
+    # The search stops at 2k columns and skips supersets of what it has
+    # found; the oracle classifies all 2^n supports and asserts upward
+    # closure.  Wide actions are built like the stability benchmark's
+    # (distinct nonzero columns); the small ones draw zero and repeated
+    # columns and chi = 0 on purpose.
+    rng = random.Random(47)
+    cases = []
+    for k, n in [(2, 14)] * 3 + [(3, 12)] * 3 + [(2, 12), (3, 10), (2, 10), (3, 8)]:
+        pool = [c for c in product(range(-2, 3), repeat=k) if any(c)]
+        cases.append((rng.sample(pool, n), rng.choice(pool)))
+    for i in range(100):
+        k = rng.randint(1, 3)
+        n = rng.randint(1, 6)
+        cols = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(n)]
+        if i % 3 == 0:
+            cols[rng.randrange(n)] = (0,) * k
+        if n >= 2 and i % 4 == 0:
+            cols[1] = cols[0]
+        chi = (0,) * k if i % 5 == 0 else tuple(rng.randint(-2, 2) for _ in range(k))
+        cases.append((cols, chi))
+    for cols, chi in cases:
+        k = len(chi)
+        rows = [tuple(c[i] for c in cols) for i in range(k)]
+        action = CharacterAction(IntMatrix(tuple(rows), len(cols)), chi)
+        expected = oracles.minimal_stable_supports_by_walk(cols, chi, WALK_BOUND[k])
+        assert stable_locus(action).minimal_stable_supports == expected, (cols, chi)
+
+
 def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
     # A 3x11 action of the benchmark's shape.  Facet candidates of a
     # support's dual cone come from its 2-column subsets, and there are
     # only C(11, 2) of those however many supports contain them; the
     # other kernel solves are git's StabilizerInfinite witnesses, one
-    # per support of rank < 3.  The action's data is validated when it is
-    # built, so the sweep revalidates no column.
+    # per tested support of rank < 3.  The search tests no support of
+    # more than 2k = 6 columns.  The action's data is validated when it
+    # is built, so the sweep revalidates no column.
     rows = [
         (1, -2, -1, -2, -1, 1, 1, -2, 1, 1, 1),
         (-1, 1, 0, 0, 0, 1, -1, 1, -2, 0, 1),
@@ -199,11 +234,6 @@ def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
     ]
     action = act(rows, (0, -1, -1))
     cols = [tuple(r[j] for r in rows) for j in range(11)]
-    deficient = sum(
-        oracles.frac_rank([cols[j] for j in sel]) < 3
-        for size in range(12)
-        for sel in combinations(range(11), size)
-    )
     for value in vars(lattice).values():
         if callable(getattr(value, "cache_clear", None)):
             value.cache_clear()
@@ -214,6 +244,13 @@ def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
         calls.append(n)
         return solve(rows, n)
 
+    tested = []
+    classify = git.is_stable_support
+
+    def recording(act, support):
+        tested.append(tuple(support))
+        return classify(act, support)
+
     validations = []
     as_vec = lattice._as_vec
 
@@ -223,9 +260,12 @@ def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
 
     monkeypatch.setattr(lattice, "integer_kernel", counting)
     monkeypatch.setattr(git, "integer_kernel", counting)
+    monkeypatch.setattr(git, "is_stable_support", recording)
     monkeypatch.setattr(lattice, "_as_vec", counting_as_vec)
     locus = stable_locus(action)
     assert locus.minimal_stable_supports
+    deficient = sum(oracles.frac_rank([cols[j - 1] for j in s]) < 3 for s in tested)
+    assert len(tested) <= sum(comb(11, i) for i in range(7)) == 1486
     assert deficient <= len(calls) <= comb(11, 2) + deficient
     assert validations == []
 

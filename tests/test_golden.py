@@ -2,18 +2,21 @@
 
 The corpus is every command line example in the README, embed, verify
 and recover on six weight systems, and stable-locus and proj on
-actions of the stability benchmark's shape.  A change that alters any
-byte of these outputs fails here, so refactors of the lattice and
-embedding layers have to keep the canonical JSON exactly as it was.
+actions of the stability benchmark's shape and on wider ones.  A change
+that alters any byte of these outputs fails here, so refactors of the
+lattice and embedding layers have to keep the canonical JSON exactly as
+it was.
 """
 
 import hashlib
 import io
+import json
 import sys
+from math import comb
 
 import pytest
 
-from orbistack import cli
+from orbistack import cli, git
 
 README_JOBS = [
     (["sections", "--weights", "1,3", "--degree", "6"],
@@ -80,6 +83,14 @@ ACTIONS = {
     "3x11": "1,-2,-1,-2,-1,1,1,-2,1,1,1;-1,1,0,0,0,1,-1,1,-2,0,1;0,-1,2,-2,-2,0,1,1,1,0,1",
     "3x11-unpointed": "-1,-1,2,0,1,1,-2,-1,2,2,-1;-1,-2,-2,0,1,0,0,0,-1,-1,-1;2,-2,0,2,1,2,2,0,0,1,1",
     "2x5": "-2,3,3,1,2;3,4,2,0,2",
+    # Wider actions drawn as the stability benchmark draws them (seed 0).
+    "2x20": "0,0,-2,-1,1,1,2,-1,1,-1,2,-2,2,-2,-2,0,2,2,0,-1;"
+            "1,2,-1,1,0,-1,2,2,2,-2,-2,1,-1,0,2,-2,0,1,-1,-1",
+    "3x14": "2,-1,1,2,0,-2,-1,2,0,0,0,2,2,2;"
+            "-1,2,2,0,-2,-1,-1,2,1,0,-2,1,-2,-1;"
+            "2,2,1,2,1,-2,1,2,-1,1,-1,1,-1,0",
+    "2x22": "0,0,-2,-1,1,1,2,-1,1,-1,2,-2,2,-2,-2,0,2,2,0,-1,-1,1;"
+            "1,2,-1,1,0,-1,2,2,2,-2,-2,1,-1,0,2,-2,0,1,-1,-1,0,1",
 }
 STABILITY_JOBS = [
     ("stable-locus", "2x12", "-2,0",
@@ -90,6 +101,11 @@ STABILITY_JOBS = [
      "4745f387925d29e03b542dd9ae6df4b3bf2ad6b73fd4307dd640b99647f59c58"),
     ("stable-locus", "3x11", "0,-3,-3",
      "39ef262e4db165fe23e06759e55453f773a6e44d9c9930de86610417fc33b1bd"),
+    # Captured while stable-locus still classified all 2^n supports.
+    ("stable-locus", "2x20", "2,1",
+     "8dc0806b322825b84e1f8f0a476e466f47409a77c8f7dc4ebe2bc5055fb20833"),
+    ("stable-locus", "3x14", "-1,0,1",
+     "f6e9574fc3dce595710822e44890e4fc0ce77d5f30d9fc224fbf733ad6b55c38"),
     ("proj", "2x12", "-2,0",
      "8d7b08ea6506f024b0e5ca05508c11b70e20f739892178cde00fd552a14c8620"),
     ("proj", "2x12", "-6,0",
@@ -140,3 +156,19 @@ def test_embed_verify_recover_bytes(capsys, monkeypatch, tmp_path, weights):
 def test_stability_bytes(capsys, command, action, chi, expected):
     argv = [command, f"--matrix={ACTIONS[action]}", f"--chi={chi}"]
     assert digest(stdout_of(capsys, argv)) == expected
+
+
+def test_stable_locus_on_22_columns_tests_supports_of_at_most_2k(capsys, monkeypatch):
+    # 2^22 supports exist; minimal stable supports have at most 2k = 4
+    # columns, so the search classifies no more than sum C(22, i), i <= 4.
+    tested = []
+    classify = git.is_stable_support
+
+    def recording(act, support):
+        tested.append(support)
+        return classify(act, support)
+
+    monkeypatch.setattr(git, "is_stable_support", recording)
+    argv = ["stable-locus", f"--matrix={ACTIONS['2x22']}", "--chi=-2,1"]
+    assert json.loads(stdout_of(capsys, argv))["minimal_supports"]
+    assert len(tested) <= sum(comb(22, i) for i in range(5)) == 9109
