@@ -28,9 +28,10 @@ from .errors import (
 )
 from .lattice import (
     Vec,
-    _dominates,
+    _as_vec,
     _dot,
     _minimal_elements,
+    _row_hnf,
     hilbert_basis,
     integer_kernel,
     sort_monomials,
@@ -175,35 +176,22 @@ def _minimal_in_residue_class(off_weights: Sequence[int], modulus: int, residue:
     return _minimal_elements(f for f in box if _dot(off_weights, f) % modulus == residue)
 
 
-def _piece(a: WeightSystem, d: int, pieces: dict[int, tuple[Vec, ...]]) -> tuple[Vec, ...]:
-    """The degree-d section basis, enumerated at most once per pieces dict."""
-    if d not in pieces:
-        pieces[d] = section_basis(a, d).basis
-    return pieces[d]
-
-
-def _globally_generated(
-    a: WeightSystem, dprime: int, m0: int, N: int, pieces: dict[int, tuple[Vec, ...]]
-) -> bool:
+def _globally_generated(a: WeightSystem, dprime: int, m0: int, N: int) -> bool:
     """Do global sections span each twisted module on every coarse chart?
 
     Chart i inverts coordinate i.  The local twisted module in degree
     c = (m+N)d' is spanned by the off-i exponent patterns whose weighted
     degree is congruent to c mod a_i; global sections surject exactly
-    when each minimal pattern dominates the off-i part of some global
-    section monomial.
+    when each minimal pattern p is the off-i part of a degree-c monomial,
+    that is when its off-i degree is at most c.  (An off-i part below p
+    lies in p's residue class, so by minimality it is p itself.)
     """
     w = a.weights
     for i, ai in enumerate(w):
-        off = [j for j in range(len(w)) if j != i]
-        off_w = [w[j] for j in off]
+        off_w = w[:i] + w[i + 1 :]
         for m in range(1, m0 + 1):
             c = (m + N) * dprime
-            mins = _minimal_in_residue_class(off_w, ai, c % ai)
-            if not mins:
-                continue
-            glob = _minimal_elements(tuple(e[j] for j in off) for e in _piece(a, c, pieces))
-            if not all(_dominates(p, glob) for p in mins):
+            if any(_dot(off_w, p) > c for p in _minimal_in_residue_class(off_w, ai, c % ai)):
                 return False
     return True
 
@@ -233,11 +221,10 @@ def find_embedding_data(a, dprime: int, *, max_candidates: int = 16) -> Embeddin
     step = step_base // gcd(step_base, dprime)
     tried = []
     chosen = None
-    pieces: dict[int, tuple[Vec, ...]] = {}
     for t in range(1, max_candidates + 1):
         candidate = t * step
         normal = _polytope_normality(a, candidate * dprime)
-        generated = _globally_generated(a, dprime, m0, candidate, pieces) if normal else None
+        generated = _globally_generated(a, dprime, m0, candidate) if normal else None
         tried.append({"N": candidate, "normality": normal, "generation": generated})
         if normal and generated:
             chosen = candidate
@@ -251,7 +238,7 @@ def find_embedding_data(a, dprime: int, *, max_candidates: int = 16) -> Embeddin
         )
 
     V1 = section_basis(a, chosen * dprime).basis
-    blocks = tuple(_piece(a, (m + chosen) * dprime, pieces) for m in range(1, m0 + 1))
+    blocks = tuple(section_basis(a, (m + chosen) * dprime).basis for m in range(1, m0 + 1))
     weights_out = [chosen] * len(V1)
     for m, block in enumerate(blocks, start=1):
         weights_out.extend([m + chosen] * len(block))
@@ -354,11 +341,6 @@ def _validate_structure(data: EmbeddingData) -> None:
         )
 
 
-def _section_generators(data: EmbeddingData):
-    basis = hilbert_basis(data.source.matrix(), (data.dprime,), certify=False)
-    return basis.generators
-
-
 def _multiset_reaches(e: Vec, m: int, off: tuple[int, ...], per_block) -> bool:
     """Can block elements with degrees summing to m fit under e off-chart?
 
@@ -401,7 +383,7 @@ def _check_chart_generation(data: EmbeddingData) -> tuple[ChartCheck, ...]:
     search first needs them, and each verdict is kept per (off-support,
     generator).
     """
-    generators = _section_generators(data)
+    generators = hilbert_basis(data.source.matrix(), (data.dprime,), certify=False).generators
     block_sets = [set(block) for block in data.V2_blocks]
     projections: dict[tuple[int, ...], list[list[Vec]]] = {}
     reached: set[tuple[tuple[int, ...], int]] = set()
@@ -432,50 +414,24 @@ def _check_chart_generation(data: EmbeddingData) -> tuple[ChartCheck, ...]:
     return tuple(reports)
 
 
-def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, alpha, beta) with alpha*x + beta*y = g = gcd(x, y), x, y >= 0."""
-    old_r, r = x, y
-    old_a, a = 1, 0
-    old_b, b = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_a, a = a, old_a - q * a
-        old_b, b = b, old_b - q * b
-    return old_r, old_a, old_b
-
-
 def _lattice_index(s_idx, weights_a, members) -> int:
     """Index of the weight-kernel image inside the stratum relation lattice.
 
     members are (target weight, coordinate) pairs supported inside the
-    stratum.  The kernel of the single weight form is generated by one
-    new relation per member against a running Bezout combination, so the
-    image lattice is built in one pass.  The relation lattice is the
-    saturated kernel of the stratum weight form, so the image lies in it
-    exactly when the form vanishes on every generator.  Returns 0 for
-    infinite index or an image not contained in the relation lattice.
+    stratum.  The Hermite form of the rows (target weight | coordinate on
+    the stratum) has the weight gcd as its first pivot and weight 0 on
+    every later row, and those later rows span exactly the image of the
+    kernel of the weight form.  The relation lattice is the saturated
+    kernel of the stratum weight form, so the image lies in it exactly
+    when the form vanishes on every generator.  Returns 0 for infinite
+    index or an image not contained in the relation lattice.
     """
-    d = len(s_idx)
     weight_row = [weights_a[j] for j in s_idx]
-    relation_basis = integer_kernel([weight_row], d)
-
-    gens: list[list[int]] = []
-    g = 0
-    bezout: list[int] = [0] * d
-    for wt, vec in members:
-        u = [vec[j] for j in s_idx]
-        if g == 0:
-            g, bezout = wt, u
-            continue
-        g2, alpha, beta = _ext_gcd(g, wt)
-        gens.append([(wt // g2) * r - (g // g2) * x for r, x in zip(bezout, u)])
-        if g2 != g:
-            bezout = [alpha * r + beta * x for r, x in zip(bezout, u)]
-            g = g2
+    h, rank = _row_hnf([wt] + [vec[j] for j in s_idx] for wt, vec in members)
+    gens = [row[1:] for row in h[1:rank]]
     if any(_dot(weight_row, gen) for gen in gens):
         return 0
-    return sublattice_index(gens, relation_basis)
+    return sublattice_index(gens, integer_kernel([weight_row], len(s_idx)))
 
 
 def _check_stratum_separation(data: EmbeddingData) -> tuple[StratumCheck, ...]:
@@ -503,9 +459,7 @@ def _check_stratum_separation(data: EmbeddingData) -> tuple[StratumCheck, ...]:
                 support=list(s),
                 index=None,
             )
-        weight_gcd = 0
-        for wt, _ in members:
-            weight_gcd = gcd(weight_gcd, wt)
+        weight_gcd = gcd(*(wt for wt, _ in members))
         if weight_gcd != g_s:
             raise StabilizerNotPreserved(
                 "coordinate weights do not realize the stabilizer order",
@@ -623,10 +577,11 @@ def morphism_from_sections(a, dprime: int, sections) -> MorphismReport:
         raise ValueError("bundle degree must be a positive integer")
     entries = []
     for e, alpha in sections:
-        vec = tuple(int(x) for x in e)
+        vec = _as_vec(e, what="exponent vector")
         if len(vec) != len(a.weights) or any(x < 0 for x in vec):
             raise ValueError(f"bad exponent vector {e!r}")
-        entries.append((vec, int(alpha)))
+        _as_vec((alpha,), what="target weight")
+        entries.append((vec, alpha))
     well_defined = all(a.degree(e) == alpha * dprime for e, alpha in entries)
     polynomial = all(alpha >= 0 for _, alpha in entries)
     supports = [frozenset(j for j, x in enumerate(e) if x) for e, _ in entries]

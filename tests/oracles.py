@@ -4,8 +4,9 @@ Everything here recomputes package results by a different route: ranks
 via Fraction Gaussian elimination, lattice membership via minor gcds,
 solution sets via box enumeration, stability via bounded search over
 one-parameter subgroups, chart generation via literal multiset search,
-normality via the literal decomposition scan.  Slow and obvious on
-purpose; nothing imports from the package.
+normality via the literal decomposition scan, global generation via
+whole section spaces.  Slow and obvious on purpose; nothing imports
+from the package.
 """
 
 from fractions import Fraction
@@ -291,6 +292,30 @@ def monomials_of_degree(weights, degree) -> list[tuple[int, ...]]:
     if weights and degree >= 0:
         rec(0, degree, ())
     return out
+
+
+def globally_generated_by_sections(weights, dprime, m0, N) -> bool:
+    """Global generation of the twisted modules, by enumerating sections.
+
+    On chart i (coordinate i inverted) and in each degree c = (m+N)d',
+    1 <= m <= m0, every off-i exponent pattern with entries below a_i
+    and weighted degree congruent to c mod a_i must dominate the off-i
+    part of some degree-c monomial.  The minimal patterns of the class
+    all lie in that box and every box pattern dominates one of them, so
+    this is the same as asking it of the minimal patterns.
+    """
+    weights = tuple(weights)
+    for i, ai in enumerate(weights):
+        off_w = weights[:i] + weights[i + 1 :]
+        for m in range(1, m0 + 1):
+            c = (m + N) * dprime
+            parts = {e[:i] + e[i + 1 :] for e in monomials_of_degree(weights, c)}
+            for p in product(range(ai), repeat=len(off_w)):
+                if sum(w * x for w, x in zip(off_w, p)) % ai != c % ai:
+                    continue
+                if not any(all(x >= y for x, y in zip(p, g)) for g in parts):
+                    return False
+    return True
 
 
 def normality_by_scan(weights, degree) -> bool:

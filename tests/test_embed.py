@@ -31,7 +31,7 @@ from orbistack import (
     verify_immersion,
 )
 from orbistack import embed
-from orbistack.embed import _lattice_index, _polytope_normality
+from orbistack.embed import _globally_generated, _lattice_index, _polytope_normality
 from tests import oracles
 
 GENUINE = [
@@ -459,6 +459,10 @@ def test_morphism_validation():
         morphism_from_sections((1, 1), 1, [((1,), 1)])
     with pytest.raises(ValueError):
         morphism_from_sections((1, 1), 1, [((-1, 2), 1)])
+    # Non-integer exponents and weights are rejected, not truncated.
+    for section in [((1.7, 0), 1), ((0, "1"), 1.9), ((1, 0), 1.0)]:
+        with pytest.raises(ValueError):
+            morphism_from_sections((1, 1), 1, [section])
 
 
 def test_embedding_data_is_deterministic():
@@ -479,6 +483,24 @@ def test_polytope_normality_matches_scan_oracle():
         verdicts[expected] += 1
     assert verdicts[False] >= 100
     assert verdicts[True] >= 50
+
+
+def test_global_generation_matches_section_oracle():
+    # The degree bound on minimal residue patterns against whole section
+    # spaces, at arbitrary twists (not only descended ones), so both
+    # verdicts occur often.  Many passing cases have a minimal pattern
+    # of degree exactly c, so a strict bound would fail them.
+    rng = random.Random(10)
+    verdicts = Counter()
+    for _ in range(1200):
+        weights = tuple(rng.randint(1, 7) for _ in range(rng.randint(2, 4)))
+        dprime, m0, N = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+        expected = oracles.globally_generated_by_sections(weights, dprime, m0, N)
+        got = _globally_generated(WeightSystem.of(weights), dprime, m0, N)
+        assert got == expected, (weights, dprime, m0, N)
+        verdicts[expected] += 1
+    assert verdicts[False] >= 200
+    assert verdicts[True] >= 200
 
 
 def with_blocks(data, blocks):
