@@ -3,7 +3,12 @@
 Every command prints one JSON document with a schema tag; key insertion
 order is fixed and arrays are canonically ordered, so identical jobs
 produce identical bytes.  Integers beyond the 53-bit safe range are
-emitted as decimal strings.  Exit codes: 0 success, 1 domain failure
+emitted as decimal strings: every such integer has at least 16 digits,
+so `emit` prints a document with one `json.dumps` and copies it with
+those integers as strings only when that text holds a run of 16 ASCII
+digits.  Documents read back are checked array by array in bulk, and
+only an array that fails the bulk check is decoded entry by entry to
+name the offending path.  Exit codes: 0 success, 1 domain failure
 (machine-readable error object on stdout), 2 malformed input.
 """
 
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .errors import DomainError, SchemaViolation
@@ -21,6 +27,9 @@ from . import git as git_mod
 from . import wps as wps_mod
 
 SAFE_MAX = 2**53 - 1
+
+# Every int past SAFE_MAX prints with at least 16 digits.
+_SIXTEEN_DIGITS = re.compile("[0-9]{16}")
 
 SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
@@ -53,6 +62,22 @@ def _encode(value, path: str = "$"):
 
 
 def emit(document) -> str:
+    """The canonical text of document: compact JSON, ints past SAFE_MAX as strings.
+
+    One json.dumps pass prints it at C speed.  An int past SAFE_MAX has
+    at least 16 digits, so only when that text holds a run of 16 ASCII
+    digits (such an int, or a safe 16-digit int, or digits in a string)
+    is the document printed again from its _encode copy.  So is a
+    document json.dumps refuses: one holding an int past the digit
+    limit fails there as a SchemaViolation naming its member.
+    """
+    try:
+        text = json.dumps(document, separators=(",", ":"), allow_nan=False)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if _SIXTEEN_DIGITS.search(text) is None:
+            return text
     return json.dumps(_encode(document), separators=(",", ":"))
 
 
@@ -143,22 +168,22 @@ def _document_from_data(data: embed_mod.EmbeddingData) -> dict:
     doc = {
         "schema": 1,
         "command": "embed",
-        "weights": list(data.source.weights),
+        "weights": data.source.weights,
         "dprime": data.dprime,
         "m0": data.m0,
         "N": data.N,
-        "V1": [list(v) for v in data.V1],
-        "V2": [[list(v) for v in block] for block in data.V2_blocks],
-        "target_weights": list(data.target_weights),
-        "coordinates": [list(v) for v in data.coordinates],
+        "V1": data.V1,
+        "V2": data.V2_blocks,
+        "target_weights": data.target_weights,
+        "coordinates": data.coordinates,
     }
     cert = data.certification
     if cert is not None:
         doc["certification"] = {
             "descent_modulus": cert.descent_modulus,
-            "candidates_tried": list(cert.candidates_tried),
+            "candidates_tried": cert.candidates_tried,
             "first_candidate_passed": cert.first_candidate_passed,
-            "normality_degrees_checked": list(cert.normality_degrees_checked),
+            "normality_degrees_checked": cert.normality_degrees_checked,
             "assumption": cert.assumption,
         }
     return doc
@@ -173,6 +198,15 @@ def _want(doc: dict, key: str, path: str, kind: type = object, what: str = ""):
     return doc[key]
 
 
+def _printable(value) -> bool:
+    """Whether _encode copies value: no float, no nesting past the recursion limit."""
+    try:
+        _encode(value)
+    except (TypeError, RecursionError):
+        return False
+    return True
+
+
 def _decode_int(value, path: str) -> int:
     if isinstance(value, bool):
         raise SchemaViolation(f"expected an integer at {path}", path=path)
@@ -180,7 +214,15 @@ def _decode_int(value, path: str) -> int:
         return value
     if isinstance(value, str):
         return _parse_int(value, path)
-    raise SchemaViolation(f"expected an integer at {path}", path=path, value=value)
+    witness = {"value": value} if _printable(value) else {}
+    raise SchemaViolation(f"expected an integer at {path}", path=path, **witness)
+
+
+def _decode_weight(value, path: str) -> int:
+    weight = _decode_int(value, path)
+    if weight < 1:
+        raise SchemaViolation(f"weights must be positive at {path}", path=path, value=weight)
+    return weight
 
 
 def _decode_monomial(value, width: int, path: str) -> tuple[int, ...]:
@@ -200,31 +242,50 @@ def _decode_monomial(value, width: int, path: str) -> tuple[int, ...]:
     return out
 
 
+def _decode_array(
+    raw: list, path: str, decode, width: int | None = None, floor: int | None = None
+) -> tuple:
+    """decode(raw[i], f"{path}[{i}]") for each i, checked in bulk first.
+
+    raw passes the bulk check when its entries, or with width given the
+    entries of its exponent arrays of length width, are ints of at least
+    floor (any ints when floor is None); it is then copied as is.  Else
+    (a decimal string, a bool, a ragged row, a sign) decode runs entry
+    by entry, so the first error keeps the path and message decode
+    gives it.
+    """
+    if width is None:
+        flat = raw
+    elif set(map(type, raw)) <= {list} and set(map(len, raw)) <= {width}:
+        flat = [x for row in raw for x in row]
+    else:
+        flat = None
+    if (
+        flat is not None
+        and set(map(type, flat)) <= {int}
+        and (floor is None or min(flat, default=floor) >= floor)
+    ):
+        return tuple(raw) if width is None else tuple(map(tuple, raw))
+    return tuple(decode(x, f"{path}[{i}]") for i, x in enumerate(raw))
+
+
 def _data_from_document(doc) -> embed_mod.EmbeddingData:
     if not isinstance(doc, dict):
         raise SchemaViolation("expected a JSON object at $", path="$")
     raw_weights = _want(doc, "weights", "$")
     if not isinstance(raw_weights, list) or not raw_weights:
         raise SchemaViolation("expected a nonempty array at $.weights", path="$.weights")
-    weights = []
-    for i, w in enumerate(raw_weights):
-        value = _decode_int(w, f"$.weights[{i}]")
-        if value < 1:
-            raise SchemaViolation(
-                f"weights must be positive at $.weights[{i}]",
-                path=f"$.weights[{i}]",
-                value=value,
-            )
-        weights.append(value)
+    weights = _decode_array(raw_weights, "$.weights", _decode_weight, floor=1)
     width = len(weights)
-    source = wps_mod.WeightSystem(tuple(weights))
+
+    def monomials(raw: list, path: str) -> tuple:
+        return _decode_array(raw, path, lambda v, p: _decode_monomial(v, width, p), width, 0)
+
+    source = wps_mod.WeightSystem(weights)
     dprime = _decode_int(_want(doc, "dprime", "$"), "$.dprime")
     m0 = _decode_int(_want(doc, "m0", "$"), "$.m0")
     n_twist = _decode_int(_want(doc, "N", "$"), "$.N")
-    raw_v1 = _want(doc, "V1", "$", list, "an array")
-    v1 = tuple(
-        _decode_monomial(v, width, f"$.V1[{i}]") for i, v in enumerate(raw_v1)
-    )
+    v1 = monomials(_want(doc, "V1", "$", list, "an array"), "$.V1")
     raw_v2 = _want(doc, "V2", "$", list, "an array of blocks")
     blocks = []
     for m, raw_block in enumerate(raw_v2):
@@ -232,24 +293,15 @@ def _data_from_document(doc) -> embed_mod.EmbeddingData:
             raise SchemaViolation(
                 f"expected a block array at $.V2[{m}]", path=f"$.V2[{m}]"
             )
-        blocks.append(
-            tuple(
-                _decode_monomial(v, width, f"$.V2[{m}][{i}]")
-                for i, v in enumerate(raw_block)
-            )
-        )
-    raw_tw = _want(doc, "target_weights", "$", list, "an array")
-    target_weights = tuple(
-        _decode_int(w, f"$.target_weights[{i}]") for i, w in enumerate(raw_tw)
+        blocks.append(monomials(raw_block, f"$.V2[{m}]"))
+    target_weights = _decode_array(
+        _want(doc, "target_weights", "$", list, "an array"), "$.target_weights", _decode_int
     )
     if "coordinates" in doc:
         raw_coords = doc["coordinates"]
         if not isinstance(raw_coords, list):
             raise SchemaViolation("expected an array at $.coordinates", path="$.coordinates")
-        coordinates = tuple(
-            _decode_monomial(v, width, f"$.coordinates[{i}]")
-            for i, v in enumerate(raw_coords)
-        )
+        coordinates = monomials(raw_coords, "$.coordinates")
     else:
         coordinates = v1 + tuple(v for block in blocks for v in block)
     certification = None
@@ -274,7 +326,7 @@ def _certification_from_document(doc: dict) -> embed_mod.Certification:
 
     def ints(key):
         raw = _want(cert, key, path, list, "an array")
-        return tuple(_decode_int(x, f"{path}.{key}[{i}]") for i, x in enumerate(raw))
+        return _decode_array(raw, f"{path}.{key}", _decode_int)
 
     return embed_mod.Certification(
         descent_modulus=_decode_int(_want(cert, "descent_modulus", path), f"{path}.descent_modulus"),
@@ -296,7 +348,7 @@ def _load_document(arg: str) -> dict:
             raise SchemaViolation(f"cannot read data file: {err}", path="$") from err
     try:
         return json.loads(text)
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         raise SchemaViolation(f"invalid JSON: {err}", path="$") from err
 
 
@@ -391,9 +443,9 @@ def _cmd_sections(args) -> dict:
     return {
         "schema": 1,
         "command": "sections",
-        "weights": list(weights),
+        "weights": weights,
         "degree": degree,
-        "basis": [list(e) for e in basis.basis],
+        "basis": basis.basis,
     }
 
 
@@ -408,9 +460,9 @@ def _cmd_hilbert_series(args) -> dict:
     return {
         "schema": 1,
         "command": "hilbert-series",
-        "weights": list(weights),
+        "weights": weights,
         "max_degree": max_degree,
-        "series": list(series),
+        "series": series,
     }
 
 
@@ -421,13 +473,13 @@ def _cmd_ample_check(args) -> dict:
     witness = None
     if offender is not None:
         witness = {
-            "support": list(offender.support),
+            "support": offender.support,
             "stabilizer_order": offender.stabilizer_order,
         }
     return {
         "schema": 1,
         "command": "ample-check",
-        "weights": list(weights),
+        "weights": weights,
         "degree": degree,
         "faithful": faithful,
         "witness": witness,
@@ -453,12 +505,12 @@ def _cmd_verify(args) -> dict:
         "verdict": report.verdict,
         "certified_via": report.certified_via,
         "charts": [
-            {"chart": list(c.chart), "generators_checked": c.generators_checked}
+            {"chart": c.chart, "generators_checked": c.generators_checked}
             for c in report.charts
         ],
         "strata": [
             {
-                "support": list(s.support),
+                "support": s.support,
                 "stabilizer_order": s.stabilizer_order,
                 "weight_gcd": s.weight_gcd,
                 "lattice_index": s.lattice_index,
@@ -477,8 +529,8 @@ def _cmd_recover(args) -> dict:
         "dprime": report.dprime,
         "N": report.N,
         "m0": report.m0,
-        "V1": [list(v) for v in report.V1],
-        "V2": [[list(v) for v in block] for block in report.V2_blocks],
+        "V1": report.V1,
+        "V2": report.V2_blocks,
         "matches": report.matches,
     }
 
@@ -500,9 +552,9 @@ def _cmd_stable_locus(args) -> dict:
     return {
         "schema": 1,
         "command": "stable-locus",
-        "matrix": [list(row) for row in act.matrix.entries],
-        "chi": list(act.character),
-        "minimal_supports": [list(s) for s in locus.minimal_stable_supports],
+        "matrix": act.matrix.entries,
+        "chi": act.character,
+        "minimal_supports": locus.minimal_stable_supports,
     }
 
 
@@ -513,23 +565,21 @@ def _cmd_proj(args) -> dict:
     return {
         "schema": 1,
         "command": "proj",
-        "matrix": [list(row) for row in act.matrix.entries],
-        "chi": list(act.character),
+        "matrix": act.matrix.entries,
+        "chi": act.character,
         "generators": [
             {
-                "monomial": list(c.monomial),
+                "monomial": c.monomial,
                 "degree": c.degree,
-                "support": list(c.support),
+                "support": c.support,
                 "chart_stable": c.stable,
             }
             for c in presentation.charts
         ],
-        "invariant_generators": [list(e) for e in basis.invariant_generators],
+        "invariant_generators": basis.invariant_generators,
         "pointed": basis.pointed,
         "certified_degree": basis.certified_degree,
-        "minimal_stable_supports": [
-            list(s) for s in presentation.locus.minimal_stable_supports
-        ],
+        "minimal_stable_supports": presentation.locus.minimal_stable_supports,
     }
 
 
@@ -549,14 +599,12 @@ def _cmd_morphism_check(args) -> dict:
     return {
         "schema": 1,
         "command": "morphism-check",
-        "weights": list(weights),
+        "weights": weights,
         "dprime": degree,
-        "sections": [
-            {"monomial": list(e), "weight": alpha} for e, alpha in sections
-        ],
+        "sections": [{"monomial": e, "weight": alpha} for e, alpha in sections],
         "well_defined": report.well_defined,
         "polynomial_target": report.polynomial_target,
-        "base_locus": [list(s) for s in report.base_locus],
+        "base_locus": report.base_locus,
         "lands_in_stable": report.lands_in_stable,
     }
 
@@ -717,7 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        document = _encode(args.handler(args))
+        document = args.handler(args)
+        text = emit(document)
     except DomainError as err:
         code = 2 if isinstance(err, SchemaViolation) else 1
         try:
@@ -726,10 +775,7 @@ def main(argv=None) -> int:
             text, code = emit(unprintable.payload()), 2
         print(text)
         return code
-    if args.pretty:
-        print("\n".join(_pretty_lines(document)))
-    else:
-        print(json.dumps(document, separators=(",", ":")))
+    print("\n".join(_pretty_lines(document)) if args.pretty else text)
     if document.get("command") == "selftest" and not document["passed"]:
         return 1
     return 0

@@ -5,10 +5,11 @@ via Fraction Gaussian elimination, lattice membership via minor gcds,
 solution sets via box enumeration, stability via bounded search over
 one-parameter subgroups, chart generation via literal multiset search,
 normality via the literal decomposition scan, global generation via
-whole section spaces.  Slow and obvious on purpose; nothing imports
+whole section spaces, canonical JSON via a full copy of the document.  Slow and obvious on purpose; nothing imports
 from the package.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -401,3 +402,27 @@ def minimal_stable_supports_by_walk(columns, chi, bound) -> tuple[tuple[int, ...
     for bits, stable in verdicts.items():
         assert stable == any(m & bits == m for m in minimal), ("not upward closed", bits)
     return tuple(tuple(j + 1 for j in range(n) if m >> j & 1) for m in minimal)
+
+
+SAFE_MAX = 2**53 - 1
+
+
+def canonical_json(value) -> str:
+    """The CLI's canonical text by the original two-pass rule.
+
+    A copy of value with every int past +-SAFE_MAX replaced by its decimal
+    string and every tuple by a list, printed by compact json.dumps.
+    """
+
+    def encode(v):
+        if isinstance(v, bool) or v is None or isinstance(v, str):
+            return v
+        if isinstance(v, int):
+            return v if abs(v) <= SAFE_MAX else str(v)
+        if isinstance(v, (list, tuple)):
+            return [encode(x) for x in v]
+        if isinstance(v, dict):
+            return {str(k): encode(x) for k, x in v.items()}
+        raise TypeError(f"cannot serialize {v!r}")
+
+    return json.dumps(encode(value), separators=(",", ":"))
