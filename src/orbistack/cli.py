@@ -425,7 +425,8 @@ def _pretty_lines(doc: dict) -> list[str]:
     elif command == "morphism-check":
         lines.append(f"  well defined: {doc['well_defined']}")
         lines.append(f"  polynomial target: {doc['polynomial_target']}")
-        lines.append(f"  base locus: {doc['base_locus']}")
+        locus = [list(s) for s in doc["base_locus"]]
+        lines.append(f"  base locus: {locus}")
     elif command == "selftest":
         for check in doc["checks"]:
             lines.append(f"  {'ok ' if check['ok'] else 'FAIL'} {check['name']}")
