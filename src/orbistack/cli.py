@@ -15,6 +15,7 @@ name the offending path.  Exit codes: 0 success, 1 domain failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -711,7 +712,13 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaViolation(f"{self.prog}: {message}", path="argv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    parse_args reads the parser and never changes it, so every call to
+    main shares this one.
+    """
     parser = _Parser(
         prog="orbistack",
         description="Exact computations for line bundles on weighted projective stacks.",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from operator import add
+from operator import add, eq, itemgetter, mul
 from typing import Sequence
 
 from .errors import (
@@ -38,6 +38,9 @@ from .lattice import (
     sublattice_index,
 )
 from .wps import WeightSystem, descent_modulus, is_det_ample, is_faithful, section_basis, strata
+
+# Member rows reduced per step of a stratum's Hermite form.
+STRATUM_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -263,6 +266,18 @@ def find_embedding_data(a, dprime: int, *, max_candidates: int = 16) -> Embeddin
     )
 
 
+def _plain_monomials(group, width: int) -> bool:
+    """Are all of group's monomials int tuples of length width, >= 0, not constant?
+
+    Checked in bulk; when this fails, the per-monomial loop of
+    _validate_structure finds the first offender, or accepts bools.
+    """
+    if not (set(map(type, group)) <= {tuple} and set(map(len, group)) <= {width}):
+        return False
+    flat = list(itertools.chain.from_iterable(group))
+    return set(map(type, flat)) <= {int} and min(flat, default=0) >= 0 and all(map(any, group))
+
+
 def _validate_structure(data: EmbeddingData) -> None:
     """Shape-level invariants only.
 
@@ -306,17 +321,18 @@ def _validate_structure(data: EmbeddingData) -> None:
         (f"V2[{m}]", block) for m, block in enumerate(data.V2_blocks, start=1)
     ]
     for name, group in groups:
-        for v in group:
-            if len(v) != width:
-                raise InvalidEmbeddingData(
-                    f"{name} monomial has the wrong length", monomial=list(v)
-                )
-            if any(not isinstance(x, int) or x < 0 for x in v):
-                raise InvalidEmbeddingData(
-                    f"{name} monomial has a negative exponent", monomial=list(v)
-                )
-            if not any(v):
-                raise InvalidEmbeddingData(f"{name} contains the constant monomial")
+        if not _plain_monomials(group, width):
+            for v in group:
+                if len(v) != width:
+                    raise InvalidEmbeddingData(
+                        f"{name} monomial has the wrong length", monomial=list(v)
+                    )
+                if any(not isinstance(x, int) or x < 0 for x in v):
+                    raise InvalidEmbeddingData(
+                        f"{name} monomial has a negative exponent", monomial=list(v)
+                    )
+                if not any(v):
+                    raise InvalidEmbeddingData(f"{name} contains the constant monomial")
         if len(set(group)) != len(group) or sort_monomials(group) != tuple(group):
             raise InvalidEmbeddingData(f"{name} is not in canonical order")
 
@@ -414,24 +430,49 @@ def _check_chart_generation(data: EmbeddingData) -> tuple[ChartCheck, ...]:
     return tuple(reports)
 
 
-def _lattice_index(s_idx, weights_a, members) -> int:
+def _fits(data: EmbeddingData, dprime: int) -> list[bool]:
+    """Does a.v = dprime * w hold, for each coordinate v of target weight w?"""
+    degrees = map(_dot, itertools.repeat(data.source.weights), data.coordinates)
+    return list(map(eq, degrees, map(mul, itertools.repeat(dprime), data.target_weights)))
+
+
+def _image_index(basis, weight_row, kernel) -> int:
+    """Index of the weight-0 rows of a Hermite basis in the relation lattice."""
+    gens = [row[1:] for row in basis[1:]]
+    if any(_dot(weight_row, gen) for gen in gens):
+        return 0
+    return sublattice_index(gens, kernel)
+
+
+def _lattice_index(s_idx, weights_a, members, settled=False) -> int:
     """Index of the weight-kernel image inside the stratum relation lattice.
 
     members are (target weight, coordinate) pairs supported inside the
-    stratum.  The Hermite form of the rows (target weight | coordinate on
-    the stratum) has the weight gcd as its first pivot and weight 0 on
-    every later row, and those later rows span exactly the image of the
-    kernel of the weight form.  The relation lattice is the saturated
-    kernel of the stratum weight form, so the image lies in it exactly
-    when the form vanishes on every generator.  Returns 0 for infinite
-    index or an image not contained in the relation lattice.
+    stratum S.  The Hermite form of the rows (target weight | coordinate on
+    S) has the weight gcd as its first pivot and weight 0 on every later
+    row, and those later rows span exactly the image of the kernel of the
+    weight form.  The relation lattice is the saturated kernel of the
+    stratum weight form, so the image lies in it exactly when the form
+    vanishes on every generator.  Returns 0 for infinite index or an image
+    not contained in the relation lattice.
+
+    Rows are reduced STRATUM_CHUNK at a time, carrying only the running
+    Hermite basis.  settled says that every member satisfies a_S.v = d'w
+    for one d'.  Every row then lies in {(w, v) : a_S.v = d'w}, whose
+    weight-0 part is 0 x ker(a_S), so once the weight-0 rows reduced so far
+    fill ker(a_S) with index 1, no further row can change the index and
+    the rest is never reduced.
     """
     weight_row = [weights_a[j] for j in s_idx]
-    h, rank = _row_hnf([wt] + [vec[j] for j in s_idx] for wt, vec in members)
-    gens = [row[1:] for row in h[1:rank]]
-    if any(_dot(weight_row, gen) for gen in gens):
-        return 0
-    return sublattice_index(gens, integer_kernel([weight_row], len(s_idx)))
+    kernel = integer_kernel([weight_row], len(s_idx))
+    rows = ([wt] + [vec[j] for j in s_idx] for wt, vec in members)
+    basis: list[list[int]] = []
+    while chunk := list(itertools.islice(rows, STRATUM_CHUNK)):
+        basis, rank = _row_hnf(basis + chunk)
+        del basis[rank:]
+        if settled and _image_index(basis, weight_row, kernel) == 1:
+            return 1
+    return _image_index(basis, weight_row, kernel)
 
 
 def _check_stratum_separation(data: EmbeddingData) -> tuple[StratumCheck, ...]:
@@ -441,25 +482,31 @@ def _check_stratum_separation(data: EmbeddingData) -> tuple[StratumCheck, ...]:
     weights with gcd equal to the stratum's stabilizer order, and the
     differences of their exponent patterns (through the weight kernel)
     must fill the stratum's relation lattice with index one.
+
+    a.v = d'w is checked once for the whole document; for a coordinate
+    inside S, a.v is a_S.v.  Only coordinates with a zero exponent lie in
+    a proper stratum, so only they get a support mask.
     """
     a = data.source.weights
-    supports_of = [frozenset(j for j, x in enumerate(v) if x) for v in data.coordinates]
+    pairs = list(zip(data.target_weights, data.coordinates))
+    settled = all(_fits(data, data.dprime))
+    bits = [1 << j for j in range(len(a))]
+    masks = {t: sum(itertools.compress(bits, v)) for t, v in enumerate(data.coordinates) if 0 in v}
     reports = []
     for stratum in strata(data.source):
         s, g_s = stratum.support, stratum.stabilizer_order
-        s_set = set(s)
-        members = [
-            (data.target_weights[t], data.coordinates[t])
-            for t, sp in enumerate(supports_of)
-            if sp <= s_set
-        ]
+        if len(s) == len(a):
+            members = pairs
+        else:
+            s_mask = sum(bits[j] for j in s)
+            members = [pairs[t] for t, mask in masks.items() if mask | s_mask == s_mask]
         if not members:
             raise StabilizerNotPreserved(
                 "no coordinate is supported inside the stratum",
                 support=list(s),
                 index=None,
             )
-        weight_gcd = gcd(*(wt for wt, _ in members))
+        weight_gcd = gcd(*map(itemgetter(0), members))
         if weight_gcd != g_s:
             raise StabilizerNotPreserved(
                 "coordinate weights do not realize the stabilizer order",
@@ -468,7 +515,7 @@ def _check_stratum_separation(data: EmbeddingData) -> tuple[StratumCheck, ...]:
                 stabilizer_order=g_s,
                 index=None,
             )
-        index = _lattice_index(s, a, members)
+        index = _lattice_index(s, a, members, settled)
         if index != 1:
             raise StabilizerNotPreserved(
                 "coordinate differences miss part of the stratum lattice",
@@ -519,14 +566,15 @@ def recover_data(data: EmbeddingData) -> RecoveryReport:
             weight=w0,
         )
     d_hat = deg0 // w0
-    for v, wt in zip(data.coordinates, data.target_weights):
-        if a.degree(v) != d_hat * wt:
-            raise RoundTripMismatch(
-                "coordinate degrees are not proportional to target weights",
-                field="dprime",
-                monomial=list(v),
-                weight=wt,
-            )
+    fits = _fits(data, d_hat)
+    if not all(fits):
+        t = fits.index(False)
+        raise RoundTripMismatch(
+            "coordinate degrees are not proportional to target weights",
+            field="dprime",
+            monomial=list(data.coordinates[t]),
+            weight=data.target_weights[t],
+        )
     if d_hat != data.dprime:
         raise RoundTripMismatch(
             "recovered bundle degree differs",

@@ -405,3 +405,35 @@ def test_console_script_matches_in_process_output(capsys):
     assert code == result.returncode == 0
     assert result.stderr == b""
     assert result.stdout == out.encode("utf-8") == SECTIONS_P13.encode("utf-8")
+
+
+def test_shared_parser_leaves_no_state_between_calls(capsys):
+    # main builds its parser once per process.  Rejected argvs, valid
+    # commands and --pretty, in turn, print what separate processes print.
+    sequence = [
+        ["sections", "--weights", "1,3"],
+        ["sections", "--weights", "1,3", "--degree", "6"],
+        ["sections", "--weights", "1,3", "--degree", "6", "--pretty"],
+        ["no-such-command"],
+        ["verify"],
+        ["hilbert-series", "--weights", "1,3", "--max-degree", "4", "--pretty"],
+        ["sections", "--weights", "1,3", "--degree", "6"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    separate = []
+    for argv in sequence:
+        result = subprocess.run(
+            [sys.executable, "-m", "orbistack.cli", *argv],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        separate.append((result.returncode, result.stdout.decode("utf-8")))
+    cli.build_parser.cache_clear()
+    in_process = [run(capsys, argv) for argv in sequence]
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _ in in_process] == [2, 0, 0, 2, 2, 0, 0]
+    assert in_process == separate

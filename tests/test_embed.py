@@ -31,7 +31,13 @@ from orbistack import (
     verify_immersion,
 )
 from orbistack import embed
-from orbistack.embed import _globally_generated, _lattice_index, _polytope_normality
+from orbistack.embed import (
+    STRATUM_CHUNK,
+    _globally_generated,
+    _lattice_index,
+    _polytope_normality,
+)
+from orbistack.lattice import sort_monomials
 from tests import oracles
 
 GENUINE = [
@@ -302,6 +308,28 @@ def test_stratum_separation_failure_modes():
     assert not oracles.stratum_separated((1, 1), (1,), [])
 
 
+def test_verify_rejects_a_late_coordinate_off_the_degree_relation():
+    # One full-support monomial of a foreign degree joins the top block,
+    # so it comes after the rows that already fill the full stratum's
+    # relation lattice.  Its row breaks a.v = d'w and puts a weight-0
+    # vector outside ker(a) into the lattice.
+    rng = random.Random(9)
+    for weights in [(2, 3, 5), (1, 2, 3, 4)]:
+        data = find_embedding_data(weights, 1)
+        top_degree = (data.N + data.m0) * data.dprime
+        for _ in range(5):
+            while True:
+                stray = tuple(rng.randint(1, 6) for _ in weights)
+                if sum(a * x for a, x in zip(weights, stray)) != top_degree:
+                    break
+            top = sort_monomials(data.V2_blocks[-1] + (stray,))
+            bad = with_blocks(data, data.V2_blocks[:-1] + (top,))
+            with pytest.raises(StabilizerNotPreserved) as exc:
+                verify_immersion(bad)
+            assert str(exc.value) == "coordinate differences miss part of the stratum lattice"
+            assert exc.value.witness == {"support": list(range(len(weights))), "index": None}
+
+
 def test_lattice_index_unit_cases():
     # White box: the relation lattice of the members against the full
     # kernel of the stratum weights.
@@ -356,6 +384,84 @@ def test_lattice_index_matches_its_definition():
         seen.add(min(expected, 2))
     # Failures, exact fits and proper sublattices all occur.
     assert seen == {0, 1, 2}
+
+
+def consistent_member(rng, weights, support, dprime, scale=1):
+    """A (target weight, exponent) pair with a.v = dprime * weight, v on support."""
+    while True:
+        v = tuple(rng.randint(0, 4) * scale if j in support else 0 for j in range(len(weights)))
+        degree = sum(a * x for a, x in zip(weights, v))
+        if degree and degree % dprime == 0:
+            return degree // dprime, v
+
+
+def test_lattice_index_stops_only_when_exact():
+    # Member lists several chunks long, reduced with settled exactly when
+    # every member satisfies a.v = d'w, as the stratum check passes it.
+    # A "sublattice" list has even exponents in all but its last rows, so
+    # its weight-0 rows lie in 2 ker(a_S) until then, of index at least 2.
+    # A "stray" list ends in rows that break a.v = d'w, after a prefix
+    # that already fills the relation lattice.  Stopping on either early
+    # would change the index.
+    rng = random.Random(12)
+    kinds = Counter()
+    for _ in range(240):
+        n = rng.randint(2, 4)
+        weights = tuple(rng.randint(1, 7) for _ in range(n))
+        support = tuple(sorted(rng.sample(range(n), rng.randint(2, min(n, 3)))))
+        dprime = rng.randint(1, 3)
+        kind = rng.choice(["consistent", "sublattice", "stray"])
+        length = rng.randint(2, 4) * STRATUM_CHUNK
+        late = rng.randint(1, 3) + (len(support) if kind == "sublattice" else 0)
+        scale = 2 if kind == "sublattice" else 1
+        members = [
+            consistent_member(rng, weights, support, dprime, scale) for _ in range(length - late)
+        ]
+        for _ in range(late):
+            wt, v = consistent_member(rng, weights, support, dprime)
+            if kind == "stray":
+                wt += rng.choice([-1, 1]) if wt > 1 else 1
+            members.append((wt, v))
+        settled = all(
+            sum(a * x for a, x in zip(weights, v)) == dprime * wt for wt, v in members
+        )
+        assert settled == (kind != "stray")
+        # The definition does not depend on the order; late rows first
+        # let its minor search reach gcd 1 sooner.
+        expected = lattice_index_by_definition(support, weights, members[::-1])
+        assert _lattice_index(support, weights, members, settled) == expected, (
+            support,
+            weights,
+            dprime,
+            members,
+        )
+        if kind == "stray":
+            prefix = lattice_index_by_definition(support, weights, members[: length - late])
+            kinds[kind] += prefix == 1 and expected != 1
+        else:
+            kinds[kind] += expected == 1
+    # Each kind shows up often, the late rows changing the index.
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_stratum_checks_reduce_few_rows(monkeypatch):
+    # All 69,459 coordinates of the (2,3,5,7) document lie in its full
+    # stratum; the stratum checks stop once a stratum's relation lattice
+    # is filled, after about one chunk each.
+    data = find_embedding_data((2, 3, 5, 7), 1)
+    reduced = []
+    row_hnf = embed._row_hnf
+
+    def counting(rows):
+        rows = list(rows)
+        reduced.append(len(rows))
+        return row_hnf(rows)
+
+    monkeypatch.setattr(embed, "_row_hnf", counting)
+    report = verify_immersion(data)
+    assert len(report.strata) == 15
+    assert len(data.coordinates) == 69_459
+    assert sum(reduced) <= 1_000
 
 
 @pytest.mark.parametrize("weights,dprime", GENUINE)
@@ -429,6 +535,107 @@ def test_structure_validation():
         coordinates=data.V1 + tuple(m for b in blocks for m in b),
     )  # duplicate inside a block
     expect_invalid(dprime=3)  # not det-ample on the source
+
+
+def first_monomial_error(data):
+    """(message, witness) of the first V1/V2 error found one monomial at a time, or None."""
+    width = len(data.source.weights)
+    groups = [("V1", data.V1)] + [
+        (f"V2[{m}]", block) for m, block in enumerate(data.V2_blocks, start=1)
+    ]
+    for name, group in groups:
+        for v in group:
+            if len(v) != width:
+                return f"{name} monomial has the wrong length", {"monomial": list(v)}
+            if any(not isinstance(x, int) or x < 0 for x in v):
+                return f"{name} monomial has a negative exponent", {"monomial": list(v)}
+            if not any(v):
+                return f"{name} contains the constant monomial", {}
+        if len(set(group)) != len(group) or sort_monomials(group) != tuple(group):
+            return f"{name} is not in canonical order", {}
+    return None
+
+
+def corrupt(rng, v, kind):
+    """The exponent vector v, spoilt one way."""
+    v = list(v)
+    j = rng.randrange(len(v))
+    if kind == "length":
+        return tuple(v[:-1] if rng.random() < 0.5 else v + [0])
+    if kind == "negative":
+        v[j] = -rng.randint(1, 3)
+    elif kind == "non-int":
+        v[j] = rng.choice([v[j] + 0.5, float(v[j]), str(v[j]), None])
+    elif kind == "bool":
+        # The same value as a bool where the exponent is 0 or 1.
+        v = [bool(x) if x in (0, 1) else x for x in v]
+    elif kind == "constant":
+        v = [0] * len(v)
+    return tuple(v)
+
+
+def test_structure_validation_reports_the_first_monomial_error():
+    # One to three spoilt monomials anywhere in V1 or V2: the error raised
+    # is the first one a monomial-by-monomial scan meets, with its
+    # message and witness; bool exponents are accepted as ints.
+    rng = random.Random(7)
+    kinds = Counter()
+    for weights in [(2, 3, 5), (1, 2, 3, 4)]:
+        data = find_embedding_data(weights, 1)
+        groups = [data.V1, *data.V2_blocks]
+        for _ in range(150):
+            spoilt = [list(group) for group in groups]
+            for _ in range(rng.randint(1, 3)):
+                group = rng.choice([g for g in spoilt if g])
+                t = rng.randrange(len(group))
+                kind = rng.choice(["length", "negative", "non-int", "bool", "constant"])
+                group[t] = corrupt(rng, group[t], kind)
+                kinds[kind] += 1
+            V1, *blocks = map(tuple, spoilt)
+            bad = with_blocks(dataclasses.replace(data, V1=V1), tuple(blocks))
+            expected = first_monomial_error(bad)
+            if expected is None:
+                assert verify_immersion(bad) == verify_immersion(data)
+                kinds["accepted"] += 1
+                continue
+            with pytest.raises(InvalidEmbeddingData) as exc:
+                verify_immersion(bad)
+            assert (str(exc.value), exc.value.witness) == expected
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_recovery_reports_the_first_disproportionate_coordinate():
+    # Monomials of a foreign degree replace one to three block entries
+    # (blocks kept in canonical order); recovery names the first
+    # coordinate whose degree is not d' times its target weight.
+    rng = random.Random(8)
+    for weights in [(2, 3, 5), (1, 2, 3, 4)]:
+        data = find_embedding_data(weights, 1)
+        a = data.source
+        for _ in range(60):
+            blocks = [set(block) for block in data.V2_blocks]
+            for _ in range(rng.randint(1, 3)):
+                m = rng.randrange(len(blocks))
+                blocks[m].discard(rng.choice(sorted(blocks[m])))
+                while True:
+                    v = tuple(rng.randint(0, 6) for _ in weights)
+                    if any(v) and a.degree(v) != (data.N + m + 1) * data.dprime:
+                        break
+                blocks[m].add(v)
+            bad = with_blocks(data, tuple(sort_monomials(block) for block in blocks))
+            first = next(
+                (v, wt)
+                for v, wt in zip(bad.coordinates, bad.target_weights)
+                if a.degree(v) != data.dprime * wt
+            )
+            with pytest.raises(RoundTripMismatch) as exc:
+                recover_data(bad)
+            assert str(exc.value) == "coordinate degrees are not proportional to target weights"
+            assert exc.value.witness == {
+                "field": "dprime",
+                "monomial": list(first[0]),
+                "weight": first[1],
+            }
 
 
 def test_morphism_reports_frozen():
