@@ -1,21 +1,22 @@
 """Command line surface with canonical, bit-exact JSON output.
 
-Every command prints one JSON document with a schema tag; key insertion
-order is fixed and arrays are canonically ordered, so identical jobs
-produce identical bytes.  Integers beyond the 53-bit safe range are
-emitted as decimal strings: every such integer has at least 16 digits,
-so `emit` prints a document with one `json.dumps` and copies it with
-those integers as strings only when that text holds a run of 16 ASCII
-digits.  Documents read back are checked array by array in bulk, and
-only an array that fails the bulk check is decoded entry by entry to
-name the offending path.  Exit codes: 0 success, 1 domain failure
-(machine-readable error object on stdout), 2 malformed input.
+Every command prints one JSON document that main opens with the schema
+tag and the command name; key order is fixed and arrays are canonically
+ordered, so identical jobs produce identical bytes.  Integers beyond the
+53-bit safe range are emitted as decimal strings: every such integer has
+at least 16 digits, so `emit` prints a document with one `json.dumps`
+and copies it with those integers as strings only when that text holds a
+run of 16 ASCII digits.  Documents read back are checked array by array
+in bulk, and only an array that fails the bulk check is decoded entry by
+entry to name the offending path.  Exit codes: 0 success, 1 domain
+failure (machine-readable error object on stdout), 2 malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
@@ -167,8 +168,6 @@ def _env_degree_bound() -> int | None:
 
 def _document_from_data(data: embed_mod.EmbeddingData) -> dict:
     doc = {
-        "schema": 1,
-        "command": "embed",
         "weights": data.source.weights,
         "dprime": data.dprime,
         "m0": data.m0,
@@ -258,7 +257,7 @@ def _decode_array(
     if width is None:
         flat = raw
     elif set(map(type, raw)) <= {list} and set(map(len, raw)) <= {width}:
-        flat = [x for row in raw for x in row]
+        flat = list(itertools.chain.from_iterable(raw))
     else:
         flat = None
     if (
@@ -304,7 +303,7 @@ def _data_from_document(doc) -> embed_mod.EmbeddingData:
             raise SchemaViolation("expected an array at $.coordinates", path="$.coordinates")
         coordinates = monomials(raw_coords, "$.coordinates")
     else:
-        coordinates = v1 + tuple(v for block in blocks for v in block)
+        coordinates, _ = embed_mod._layout(v1, blocks, n_twist)
     certification = None
     if "certification" in doc:
         certification = _certification_from_document(doc)
@@ -443,8 +442,6 @@ def _cmd_sections(args) -> dict:
     degree = _parse_int(args.degree, "degree")
     basis = wps_mod.section_basis(weights, degree)
     return {
-        "schema": 1,
-        "command": "sections",
         "weights": weights,
         "degree": degree,
         "basis": basis.basis,
@@ -460,8 +457,6 @@ def _cmd_hilbert_series(args) -> dict:
         )
     series = wps_mod.hilbert_series(weights, max_degree)
     return {
-        "schema": 1,
-        "command": "hilbert-series",
         "weights": weights,
         "max_degree": max_degree,
         "series": series,
@@ -479,8 +474,6 @@ def _cmd_ample_check(args) -> dict:
             "stabilizer_order": offender.stabilizer_order,
         }
     return {
-        "schema": 1,
-        "command": "ample-check",
         "weights": weights,
         "degree": degree,
         "faithful": faithful,
@@ -502,8 +495,6 @@ def _cmd_verify(args) -> dict:
     data = _data_from_document(_load_document(args.data))
     report = embed_mod.verify_immersion(data)
     return {
-        "schema": 1,
-        "command": "verify",
         "verdict": report.verdict,
         "certified_via": report.certified_via,
         "charts": [
@@ -526,8 +517,6 @@ def _cmd_recover(args) -> dict:
     data = _data_from_document(_load_document(args.data))
     report = embed_mod.recover_data(data)
     return {
-        "schema": 1,
-        "command": "recover",
         "dprime": report.dprime,
         "N": report.N,
         "m0": report.m0,
@@ -552,8 +541,6 @@ def _cmd_stable_locus(args) -> dict:
     act = _action_from_args(args)
     locus = git_mod.stable_locus(act)
     return {
-        "schema": 1,
-        "command": "stable-locus",
         "matrix": act.matrix.entries,
         "chi": act.character,
         "minimal_supports": locus.minimal_stable_supports,
@@ -565,8 +552,6 @@ def _cmd_proj(args) -> dict:
     presentation = git_mod.proj_presentation(act, certify_degree=_env_degree_bound())
     basis = presentation.basis
     return {
-        "schema": 1,
-        "command": "proj",
         "matrix": act.matrix.entries,
         "chi": act.character,
         "generators": [
@@ -599,8 +584,6 @@ def _cmd_morphism_check(args) -> dict:
             )
     report = embed_mod.morphism_from_sections(weights, degree, sections)
     return {
-        "schema": 1,
-        "command": "morphism-check",
         "weights": weights,
         "dprime": degree,
         "sections": [{"monomial": e, "weight": alpha} for e, alpha in sections],
@@ -702,7 +685,7 @@ def _cmd_selftest(args) -> dict:
             ok = False
         results.append({"name": name, "ok": ok})
         passed = passed and ok
-    return {"schema": 1, "command": "selftest", "checks": results, "passed": passed}
+    return {"checks": results, "passed": passed}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -773,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        document = args.handler(args)
+        document = {"schema": 1, "command": args.command, **args.handler(args)}
         text = emit(document)
     except DomainError as err:
         code = 2 if isinstance(err, SchemaViolation) else 1
@@ -784,7 +767,7 @@ def main(argv=None) -> int:
         print(text)
         return code
     print("\n".join(_pretty_lines(document)) if args.pretty else text)
-    if document.get("command") == "selftest" and not document["passed"]:
+    if args.command == "selftest" and not document["passed"]:
         return 1
     return 0
 

@@ -31,6 +31,7 @@ from .lattice import (
     _as_vec,
     _dot,
     _minimal_elements,
+    _minimal_supports,
     _row_hnf,
     hilbert_basis,
     integer_kernel,
@@ -41,6 +42,9 @@ from .wps import WeightSystem, descent_modulus, is_det_ample, is_faithful, secti
 
 # Member rows reduced per step of a stratum's Hermite form.
 STRATUM_CHUNK = 32
+
+# Multiples of the descent step tried as the twist N before giving up.
+MAX_TWISTS = 16
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,7 @@ class EmbeddingData:
 
     @property
     def V2(self) -> tuple[Vec, ...]:
-        return tuple(v for block in self.V2_blocks for v in block)
+        return tuple(itertools.chain.from_iterable(self.V2_blocks))
 
 
 @dataclass(frozen=True)
@@ -199,12 +203,19 @@ def _globally_generated(a: WeightSystem, dprime: int, m0: int, N: int) -> bool:
     return True
 
 
-def find_embedding_data(a, dprime: int, *, max_candidates: int = 16) -> EmbeddingData:
+def _layout(V1, blocks, base: int) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """Coordinates V1 then each block, with target weight base on V1 and base + m on block m."""
+    coordinates = V1 + tuple(itertools.chain.from_iterable(blocks))
+    weights = [(base,) * len(V1)] + [(base + m,) * len(b) for m, b in enumerate(blocks, start=1)]
+    return coordinates, tuple(itertools.chain.from_iterable(weights))
+
+
+def find_embedding_data(a, dprime: int) -> EmbeddingData:
     """Choose (m0, N, V1, V2) for the degree-dprime bundle on weights a.
 
     m0 is exact: the largest degree among the minimal generators of the
     section semigroup.  N is the smallest multiple of the descent step
-    passing both certificates; candidates stop after max_candidates
+    passing both certificates; candidates stop after MAX_TWISTS
     multiples and failure is reported, never silently escalated.
     """
     a = WeightSystem.of(a)
@@ -224,7 +235,7 @@ def find_embedding_data(a, dprime: int, *, max_candidates: int = 16) -> Embeddin
     step = step_base // gcd(step_base, dprime)
     tried = []
     chosen = None
-    for t in range(1, max_candidates + 1):
+    for t in range(1, MAX_TWISTS + 1):
         candidate = t * step
         normal = _polytope_normality(a, candidate * dprime)
         generated = _globally_generated(a, dprime, m0, candidate) if normal else None
@@ -242,10 +253,7 @@ def find_embedding_data(a, dprime: int, *, max_candidates: int = 16) -> Embeddin
 
     V1 = section_basis(a, chosen * dprime).basis
     blocks = tuple(section_basis(a, (m + chosen) * dprime).basis for m in range(1, m0 + 1))
-    weights_out = [chosen] * len(V1)
-    for m, block in enumerate(blocks, start=1):
-        weights_out.extend([m + chosen] * len(block))
-    coordinates = V1 + tuple(v for block in blocks for v in block)
+    coordinates, target_weights = _layout(V1, blocks, chosen)
     certification = Certification(
         descent_modulus=step_base,
         candidates_tried=tuple(item["N"] for item in tried),
@@ -260,7 +268,7 @@ def find_embedding_data(a, dprime: int, *, max_candidates: int = 16) -> Embeddin
         N=chosen,
         V1=V1,
         V2_blocks=blocks,
-        target_weights=tuple(weights_out),
+        target_weights=target_weights,
         coordinates=coordinates,
         certification=certification,
     )
@@ -336,22 +344,18 @@ def _validate_structure(data: EmbeddingData) -> None:
         if len(set(group)) != len(group) or sort_monomials(group) != tuple(group):
             raise InvalidEmbeddingData(f"{name} is not in canonical order")
 
-    flat = data.V1 + tuple(v for block in data.V2_blocks for v in block)
-    if data.coordinates != flat:
+    if data.coordinates != data.V1 + data.V2:
         raise InvalidEmbeddingData("coordinates must be V1 followed by the V2 blocks")
-    if len(data.target_weights) != len(flat):
+    if len(data.target_weights) != len(data.coordinates):
         raise InvalidEmbeddingData(
             "one target weight per coordinate required",
-            coordinates=len(flat),
+            coordinates=len(data.coordinates),
             weights=len(data.target_weights),
         )
     if any(not isinstance(x, int) or x < 1 for x in data.target_weights):
         raise InvalidEmbeddingData("target weights must be positive integers")
-    base = data.target_weights[0]
-    expected = [base] * len(data.V1)
-    for m, block in enumerate(data.V2_blocks, start=1):
-        expected.extend([base + m] * len(block))
-    if list(data.target_weights) != expected:
+    _, expected = _layout(data.V1, data.V2_blocks, data.target_weights[0])
+    if tuple(data.target_weights) != expected:
         raise InvalidEmbeddingData(
             "target weights must be constant on V1 and offset by the block degree"
         )
@@ -550,9 +554,11 @@ def recover_data(data: EmbeddingData) -> RecoveryReport:
     """Read (d', N, m0, V1, V2) back off the coordinates and compare.
 
     The bundle degree is the common ratio of weighted monomial degree to
-    target weight, N is the least target weight, m0 the weight spread,
-    V1 the least-weight coordinates and the blocks the rest grouped by
-    weight offset.  The first stored field that disagrees is reported.
+    target weight.  Validation has already fixed the layout: coordinates
+    are V1 then the blocks, with weight N on V1 and N + m on block m, so
+    N is the first target weight, m0 the last minus N, and V1 and the
+    blocks are the stored ones.  The first stored field that disagrees
+    is reported.
     """
     _validate_structure(data)
     a = data.source
@@ -582,12 +588,12 @@ def recover_data(data: EmbeddingData) -> RecoveryReport:
             stored=data.dprime,
             recovered=d_hat,
         )
-    n_hat = min(data.target_weights)
+    n_hat = data.target_weights[0]
     if n_hat != data.N:
         raise RoundTripMismatch(
             "recovered twist differs", field="N", stored=data.N, recovered=n_hat
         )
-    m0_hat = max(data.target_weights) - n_hat
+    m0_hat = data.target_weights[-1] - n_hat
     if m0_hat != data.m0:
         raise RoundTripMismatch(
             "recovered generation degree differs",
@@ -595,22 +601,7 @@ def recover_data(data: EmbeddingData) -> RecoveryReport:
             stored=data.m0,
             recovered=m0_hat,
         )
-    v1_hat = tuple(
-        v for v, wt in zip(data.coordinates, data.target_weights) if wt == n_hat
-    )
-    if v1_hat != data.V1:
-        raise RoundTripMismatch("recovered V1 differs", field="V1")
-    blocks_hat = tuple(
-        tuple(
-            v
-            for v, wt in zip(data.coordinates, data.target_weights)
-            if wt == n_hat + m
-        )
-        for m in range(1, m0_hat + 1)
-    )
-    if blocks_hat != data.V2_blocks:
-        raise RoundTripMismatch("recovered V2 differs", field="V2")
-    return RecoveryReport(d_hat, n_hat, m0_hat, v1_hat, blocks_hat, True)
+    return RecoveryReport(d_hat, n_hat, m0_hat, data.V1, data.V2_blocks, True)
 
 
 def morphism_from_sections(a, dprime: int, sections) -> MorphismReport:
@@ -632,16 +623,17 @@ def morphism_from_sections(a, dprime: int, sections) -> MorphismReport:
         entries.append((vec, alpha))
     well_defined = all(a.degree(e) == alpha * dprime for e, alpha in entries)
     polynomial = all(alpha >= 0 for _, alpha in entries)
-    supports = [frozenset(j for j, x in enumerate(e) if x) for e, _ in entries]
+    supports = [{j for j, x in enumerate(e) if x} for e, _ in entries]
     width = len(a.weights)
-    maximal: list[tuple[int, ...]] = []
-    for size in range(width, 0, -1):
-        for s in itertools.combinations(range(width), size):
-            s_set = set(s)
-            if any(sp <= s_set for sp in supports):
-                continue
-            if any(s_set <= set(m) for m in maximal):
-                continue
-            maximal.append(s)
+    # A nonempty S is in the base locus when no section support lies in S,
+    # that is when its complement T meets every support, so maximal S are
+    # the complements of minimal such T with |T| < width.  In a minimal T
+    # each t has a support meeting T only in t, so |T| <= #sections.
+    hitting = _minimal_supports(
+        range(width),
+        min(width - 1, len(supports)),
+        lambda t: all(not s.isdisjoint(t) for s in supports),
+    )
+    maximal = (tuple(j for j in range(width) if j not in t) for t in hitting)
     base_locus = tuple(sorted(maximal, key=lambda t: (len(t), t)))
     return MorphismReport(well_defined, polynomial, base_locus, not base_locus)

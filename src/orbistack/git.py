@@ -11,7 +11,6 @@ rank-and-cone condition on (W, chi, S).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .errors import NotPolynomial
@@ -24,6 +23,7 @@ from .lattice import (
     _as_vec,
     _cone_position,
     _dot,
+    _minimal_supports,
     _rank_cached,
     hilbert_basis,
     integer_kernel,
@@ -149,13 +149,11 @@ def stable_locus(act: CharacterAction) -> StableLocus:
     and is skipped; a stable support that does get tested is minimal.
     """
     n = act.matrix.cols
-    found: dict[int, tuple[int, ...]] = {}
-    for size in range(min(n, 2 * act.matrix.k) + 1):
-        for s in combinations(range(1, n + 1), size):
-            mask = sum(1 << i for i in s)
-            if all(m & mask != m for m in found) and is_stable_support(act, s).stable:
-                found[mask] = s
-    return StableLocus(tuple(found.values()))
+    return StableLocus(
+        _minimal_supports(
+            range(1, n + 1), min(n, 2 * act.matrix.k), lambda s: is_stable_support(act, s).stable
+        )
+    )
 
 
 @dataclass(frozen=True)

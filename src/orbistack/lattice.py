@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InfiniteSolutionSet, InvariantViolation
 
@@ -496,6 +496,27 @@ def _minimal_elements(vectors: Iterable[Sequence[int]]) -> list[Vec]:
         if not _dominates(v, out):
             out.append(v)
     return out
+
+
+def _minimal_supports(
+    items: Sequence[int], max_size: int, holds: Callable[[tuple[int, ...]], bool]
+) -> tuple[tuple[int, ...], ...]:
+    """Minimal supports of at most max_size items satisfying an upward-closed holds.
+
+    Supports are walked by size, then lexicographically, and one that
+    contains a support already found is skipped untested, so every
+    support that passes holds is minimal.  Items are distinct
+    nonnegative ints, which double as bit positions.
+    """
+    found: list[int] = []
+    out = []
+    for size in range(max_size + 1):
+        for s in itertools.combinations(items, size):
+            mask = sum(1 << i for i in s)
+            if all(m & mask != m for m in found) and holds(s):
+                found.append(mask)
+                out.append(s)
+    return tuple(out)
 
 
 def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tuple[Vec, ...]:

@@ -5,7 +5,9 @@ via Fraction Gaussian elimination, lattice membership via minor gcds,
 solution sets via box enumeration, stability via bounded search over
 one-parameter subgroups, chart generation via literal multiset search,
 normality via the literal decomposition scan, global generation via
-whole section spaces, canonical JSON via a full copy of the document.  Slow and obvious on purpose; nothing imports
+whole section spaces, canonical JSON via a full copy of the document,
+recovery by grouping coordinates into weight classes, base loci by
+walking every support.  Slow and obvious on purpose; nothing imports
 from the package.
 """
 
@@ -402,6 +404,39 @@ def minimal_stable_supports_by_walk(columns, chi, bound) -> tuple[tuple[int, ...
     for bits, stable in verdicts.items():
         assert stable == any(m & bits == m for m in minimal), ("not upward closed", bits)
     return tuple(tuple(j + 1 for j in range(n) if m >> j & 1) for m in minimal)
+
+
+def recover_by_weight_classes(coordinates, target_weights):
+    """(V1, blocks, N, m0) read back off a map by its target weight classes.
+
+    N is the least target weight and m0 the weight spread; V1 holds the
+    coordinates of weight N and block m those of weight N + m, in order.
+    """
+    n = min(target_weights)
+    m0 = max(target_weights) - n
+
+    def weight_class(w):
+        return tuple(v for v, wt in zip(coordinates, target_weights) if wt == w)
+
+    return weight_class(n), tuple(weight_class(n + m) for m in range(1, m0 + 1)), n, m0
+
+
+def base_locus_by_walk(width, supports):
+    """Maximal nonempty S in range(width) containing no support, by all 2^width supports.
+
+    Supports are walked from the largest size down, so a walked S that
+    lies inside one already kept is not maximal.  Sorted by (size, S).
+    """
+    supports = [set(s) for s in supports]
+    maximal = []
+    for size in range(width, 0, -1):
+        for s in combinations(range(width), size):
+            if any(sp <= set(s) for sp in supports):
+                continue
+            if any(set(s) <= set(m) for m in maximal):
+                continue
+            maximal.append(s)
+    return tuple(sorted(maximal, key=lambda t: (len(t), t)))
 
 
 SAFE_MAX = 2**53 - 1

@@ -37,6 +37,7 @@ from orbistack.embed import (
     _lattice_index,
     _polytope_normality,
 )
+from orbistack import lattice
 from orbistack.lattice import sort_monomials
 from tests import oracles
 
@@ -509,9 +510,10 @@ def test_not_det_ample_witnesses():
     }
 
 
-def test_certification_failure_when_no_candidates():
+def test_certification_failure_when_no_candidates(monkeypatch):
+    monkeypatch.setattr(embed, "MAX_TWISTS", 0)
     with pytest.raises(VeryAmpleCertificationFailed) as exc:
-        find_embedding_data((1, 3), 1, max_candidates=0)
+        find_embedding_data((1, 3), 1)
     assert exc.value.witness == {"weights": [1, 3], "degree": 1, "tried": []}
 
 
@@ -773,3 +775,129 @@ def test_chart_projection_once_per_support(monkeypatch):
     assert verify_immersion(data).verdict == "pass"
     assert calls
     assert_once_per_support(data)
+
+
+def test_recovery_reads_the_validated_layout():
+    # recover_data reads N, m0, V1 and the blocks off the layout that
+    # structure validation has fixed.  The weight-class reading of the
+    # coordinates must agree wherever validation passes: on what recovery
+    # reports, on the N or m0 it rejects, and on V1 and the blocks whenever
+    # N and m0 match, so no input can tell V1 or a block apart from the
+    # stored one.
+    rng = random.Random(13)
+    kinds = Counter()
+    systems = [((1, 3), 1), ((2, 3), 1), ((1, 3), 2), ((2, 3, 5), 1), ((1, 2, 3, 4), 1)]
+    for weights, dprime in systems:
+        data = find_embedding_data(weights, dprime)
+        for _ in range(160):
+            blocks = list(data.V2_blocks)
+            bad = data
+            for _ in range(rng.randint(1, 2)):
+                kind = rng.choice(
+                    ["N", "shift", "empty", "drop", "move", "extra", "dprime", "weight", "swap"]
+                )
+                m = rng.randrange(len(blocks))
+                if kind == "N":
+                    bad = dataclasses.replace(bad, N=bad.N * rng.randint(2, 3))
+                    continue
+                if kind == "shift":
+                    c = rng.randint(1, 3)
+                    bad = dataclasses.replace(
+                        bad, target_weights=tuple(w + c for w in bad.target_weights)
+                    )
+                    continue
+                if kind == "dprime":
+                    bad = dataclasses.replace(bad, dprime=bad.dprime * 2)
+                    continue
+                if kind == "weight":
+                    t = rng.randrange(len(bad.target_weights))
+                    tw = list(bad.target_weights)
+                    tw[t] += rng.choice([-1, 1])
+                    bad = dataclasses.replace(bad, target_weights=tuple(tw))
+                    continue
+                if kind == "swap":
+                    coords = list(bad.coordinates)
+                    i, j = rng.sample(range(len(coords)), 2)
+                    coords[i], coords[j] = coords[j], coords[i]
+                    bad = dataclasses.replace(bad, coordinates=tuple(coords))
+                    continue
+                if kind == "empty":
+                    blocks[m] = ()
+                elif kind == "drop" and blocks[m]:
+                    block = list(blocks[m])
+                    del block[rng.randrange(len(block))]
+                    blocks[m] = tuple(block)
+                elif kind == "move" and blocks[m]:
+                    target = rng.randrange(len(blocks))
+                    v = rng.choice(blocks[m])
+                    blocks[m] = tuple(x for x in blocks[m] if x != v)
+                    blocks[target] = sort_monomials(set(blocks[target]) | {v})
+                elif kind == "extra":
+                    blocks.append(())
+                    bad = dataclasses.replace(bad, m0=bad.m0 + 1)
+                bad = dataclasses.replace(
+                    with_blocks(dataclasses.replace(bad, N=data.N), tuple(blocks)), N=bad.N
+                )
+            try:
+                embed._validate_structure(bad)
+            except InvalidEmbeddingData:
+                kinds["invalid"] += 1
+                continue
+            v1, v2, n, m0 = oracles.recover_by_weight_classes(bad.coordinates, bad.target_weights)
+            if (n, m0) == (bad.N, bad.m0):
+                assert (v1, v2) == (bad.V1, bad.V2_blocks)
+            try:
+                report = recover_data(bad)
+            except RoundTripMismatch as err:
+                field = err.witness["field"]
+                kinds[field] += 1
+                if field == "N":
+                    assert err.witness["recovered"] == n
+                elif field == "m0":
+                    assert (bad.N, err.witness["recovered"]) == (n, m0)
+                else:
+                    assert field == "dprime"
+            else:
+                kinds["recovered"] += 1
+                assert (report.V1, report.V2_blocks, report.N, report.m0) == (v1, v2, n, m0)
+    assert min(kinds[k] for k in ["invalid", "N", "m0", "dprime", "recovered"]) >= 20, kinds
+
+
+def test_base_locus_matches_the_support_walk():
+    # Minimal hitting sets bounded by the section count, against the
+    # maximal supports of the full 2^n walk.
+    rng = random.Random(21)
+    seen = Counter()
+    for case in range(2400):
+        width = case % 8 + 1
+        weights = tuple(rng.randint(1, 3) for _ in range(width))
+        sections = []
+        for _ in range(rng.randint(0, 5)):
+            if rng.random() < 0.1:
+                e = (0,) * width
+            else:
+                e = tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(width))
+            sections.append((e, rng.randint(-1, 3)))
+        report = morphism_from_sections(weights, 1, sections)
+        supports = [{j for j, x in enumerate(e) if x} for e, _ in sections]
+        assert report.base_locus == oracles.base_locus_by_walk(width, supports)
+        assert report.lands_in_stable == (not report.base_locus)
+        seen["no sections"] += not sections
+        seen["constant section"] += any(not any(e) for e, _ in sections)
+        seen["several maximal"] += len(report.base_locus) > 1
+        seen["empty locus with sections"] += bool(sections) and not report.base_locus
+    assert min(seen.values()) >= 100, seen
+
+
+def test_base_locus_walk_is_bounded_by_the_sections(monkeypatch):
+    # 40 unit weights and one section: the hitting sets have at most one
+    # element, so at most 1 + 40 supports are tested instead of 2^40.
+    tested = []
+
+    def counting(items, max_size, holds):
+        return lattice._minimal_supports(items, max_size, lambda t: tested.append(t) or holds(t))
+
+    monkeypatch.setattr(embed, "_minimal_supports", counting)
+    report = morphism_from_sections((1,) * 40, 1, [((1,) + (0,) * 39, 1)])
+    assert report.base_locus == (tuple(range(1, 40)),)
+    assert 0 < len(tested) <= 41
