@@ -285,7 +285,8 @@ def _data_from_document(doc) -> embed_mod.EmbeddingData:
     dprime = _decode_int(_want(doc, "dprime", "$"), "$.dprime")
     m0 = _decode_int(_want(doc, "m0", "$"), "$.m0")
     n_twist = _decode_int(_want(doc, "N", "$"), "$.N")
-    v1 = monomials(_want(doc, "V1", "$", list, "an array"), "$.V1")
+    raw_v1 = _want(doc, "V1", "$", list, "an array")
+    v1 = monomials(raw_v1, "$.V1")
     raw_v2 = _want(doc, "V2", "$", list, "an array of blocks")
     blocks = []
     for m, raw_block in enumerate(raw_v2):
@@ -297,13 +298,18 @@ def _data_from_document(doc) -> embed_mod.EmbeddingData:
     target_weights = _decode_array(
         _want(doc, "target_weights", "$", list, "an array"), "$.target_weights", _decode_int
     )
+    coordinates, _ = embed_mod._layout(v1, blocks, n_twist)
     if "coordinates" in doc:
         raw_coords = doc["coordinates"]
         if not isinstance(raw_coords, list):
             raise SchemaViolation("expected an array at $.coordinates", path="$.coordinates")
-        coordinates = monomials(raw_coords, "$.coordinates")
-    else:
-        coordinates, _ = embed_mod._layout(v1, blocks, n_twist)
+        # Raw coordinates equal to the raw V1 then blocks decode to the
+        # layout, unless an entry is true or 1.0: equal to 1, but refused.
+        raw_layout = raw_v1 + list(itertools.chain.from_iterable(raw_v2))
+        if raw_coords != raw_layout or not set(
+            map(type, itertools.chain.from_iterable(raw_coords))
+        ) <= {int}:
+            coordinates = monomials(raw_coords, "$.coordinates")
     certification = None
     if "certification" in doc:
         certification = _certification_from_document(doc)

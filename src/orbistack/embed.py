@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from operator import add, eq, itemgetter, mul
+from operator import add, eq, gt, itemgetter, mul, or_
 from typing import Sequence
 
 from .errors import (
@@ -35,7 +35,6 @@ from .lattice import (
     _row_hnf,
     hilbert_basis,
     integer_kernel,
-    sort_monomials,
     sublattice_index,
 )
 from .wps import WeightSystem, descent_modulus, is_det_ample, is_faithful, section_basis, strata
@@ -148,26 +147,45 @@ def _polytope_normality(a: WeightSystem, big_degree: int) -> bool:
     rest z - g is a degree-(j-1)D monomial, so the certificate is that
     every such z dominates some degree-D monomial.  That is a bounded
     subset sum: does some g with 0 <= g_i <= z_i reach sum a_i g_i = D?
-    It is decided exactly on an int bitset of the reachable sums 0..D.
+
+    The z are walked depth first, one exponent per level and heaviest
+    weight first (the verdict does not depend on the order), on an
+    explicit stack so that no weight count meets the recursion limit.
+    Each prefix carries the int bitset of the sums 0..D it reaches: one
+    shift-or per unit of z_i, up to D // a_i.  Once bit D is set, every z
+    extending the prefix dominates the same g, including those with a
+    larger z_i, since domination is upward closed; that subtree passes
+    without being walked.  The last exponent is fixed by the degree (a
+    remainder means no monomial), and bit D is reachable with at most k
+    copies of the last weight exactly when the prefix bitset meets
+    hits[k], the sums D - t a_n for t <= k.
     """
-    w = a.weights
+    w = sorted(a.weights, reverse=True)
     n = len(w) - 1
     if n <= 2:
         return True
     full = (1 << (big_degree + 1)) - 1
     target = 1 << big_degree
     caps = [big_degree // ai for ai in w]
-    for j in range(2, n):
-        for z in section_basis(a, j * big_degree).basis:
-            reach = 1
-            for ai, zi, cap in zip(w, z, caps):
-                step = reach
-                for _ in range(min(zi, cap)):
-                    step = (step << ai) & full
-                    reach |= step
+    last = w[n]
+    hits = list(itertools.accumulate((target >> t * last for t in range(caps[n] + 1)), or_))
+
+    # Prefixes still to extend: (level, degree left, reachable sums).
+    stack = [(0, j * big_degree, 1) for j in range(2, n)]
+    while stack:
+        i, rest, reach = stack.pop()
+        ai, cap = w[i], caps[i]
+        step = reach
+        for zi in range(rest // ai + 1):
+            if zi and zi <= cap:
+                step = (step << ai) & full
+                reach |= step
                 if reach & target:
                     break
-            else:
+            r = rest - zi * ai
+            if i + 1 < n:
+                stack.append((i + 1, r, reach))
+            elif r % last == 0 and not reach & hits[min(r // last, caps[n])]:
                 return False
     return True
 
@@ -316,6 +334,9 @@ def _validate_structure(data: EmbeddingData) -> None:
             degree=data.dprime,
             descent_modulus=descent_modulus(a),
         )
+    for name in ("V2_blocks", "coordinates"):
+        if not isinstance(getattr(data, name), tuple):
+            raise InvalidEmbeddingData(f"{name} must be a tuple")
     if len(data.V2_blocks) != data.m0:
         raise InvalidEmbeddingData(
             "one block per degree 1..m0 required",
@@ -329,8 +350,12 @@ def _validate_structure(data: EmbeddingData) -> None:
         (f"V2[{m}]", block) for m, block in enumerate(data.V2_blocks, start=1)
     ]
     for name, group in groups:
+        if not isinstance(group, tuple):
+            raise InvalidEmbeddingData(f"{name} must be a tuple")
         if not _plain_monomials(group, width):
             for v in group:
+                if not isinstance(v, tuple):
+                    raise InvalidEmbeddingData(f"{name} monomial must be a tuple")
                 if len(v) != width:
                     raise InvalidEmbeddingData(
                         f"{name} monomial has the wrong length", monomial=list(v)
@@ -341,7 +366,9 @@ def _validate_structure(data: EmbeddingData) -> None:
                     )
                 if not any(v):
                     raise InvalidEmbeddingData(f"{name} contains the constant monomial")
-        if len(set(group)) != len(group) or sort_monomials(group) != tuple(group):
+        # Canonical and duplicate-free is strictly decreasing in (degree, lex).
+        keyed = list(zip(map(sum, group), group))
+        if not all(map(gt, keyed, keyed[1:])):
             raise InvalidEmbeddingData(f"{name} is not in canonical order")
 
     if data.coordinates != data.V1 + data.V2:

@@ -348,6 +348,30 @@ def normality_by_scan(weights, degree) -> bool:
     return True
 
 
+def normality_by_subset_sum(weights, degree) -> bool:
+    """Degree-one generation of the degree-D section simplex, by subset sum.
+
+    Every monomial z of degree j*D, 2 <= j <= n-1, must dominate some
+    degree-D monomial: some g with 0 <= g_i <= z_i reaches sum a_i g_i = D.
+    Each z is scanned on its own, with an int bitset of the sums 0..D
+    reachable with g_i copies of a_i for each i in turn.
+    """
+    n = len(weights) - 1
+    if n <= 2:
+        return True
+    full = (1 << (degree + 1)) - 1
+    target = 1 << degree
+    for j in range(2, n):
+        for z in monomials_of_degree(weights, j * degree):
+            reach = 1
+            for ai, zi in zip(weights, z):
+                for _ in range(min(zi, degree // ai)):
+                    reach |= (reach << ai) & full
+            if not reach & target:
+                return False
+    return True
+
+
 def minimal_stable_supports_by_walk(columns, chi, bound) -> tuple[tuple[int, ...], ...]:
     """Minimal stable supports (1-based) by classifying all 2^n supports.
 

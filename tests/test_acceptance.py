@@ -15,10 +15,15 @@ through such a vector; in rank one the sign alone decides.
 """
 
 import dataclasses
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations, combinations_with_replacement, product
+from pathlib import Path
 
 from orbistack import (
     CharacterAction,
@@ -37,6 +42,8 @@ from orbistack import (
     verify_immersion,
 )
 from tests import oracles
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Column-set verdict tables, shared between criteria 4 and 6.
 _VERDICTS: dict[int, dict] = {}
@@ -281,3 +288,22 @@ def test_criterion_6_upward_closure_and_positive_weight_specialization():
     for _ in range(50):
         n = rng.randint(1, 6)
         expect_singletons(tuple(rng.randint(1, 9) for _ in range(n)))
+
+
+# sha256 of the stdout of `embed --weights 1,2,3,4,5 --degree 1`, captured
+# when the normality certificate still scanned every degree-jD monomial.
+EMBED_12345_DIGEST = "445ac14039a48808367e8141e69726b2a0e37ef413135d805fa4ffbf4014f8ca"
+
+
+def test_five_weight_embed_in_a_fresh_process():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["embed", "--weights", "1,2,3,4,5", "--degree", "1"]
+    start = time.monotonic()
+    result = subprocess.run(
+        [sys.executable, "-m", "orbistack.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+    elapsed = time.monotonic() - start
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == EMBED_12345_DIGEST
+    assert elapsed < 3.0

@@ -13,6 +13,7 @@ import copy
 import hashlib
 import io
 import json
+import operator
 import random
 import sys
 
@@ -21,7 +22,7 @@ import pytest
 from orbistack import cli
 from orbistack.errors import SchemaViolation
 from tests.oracles import SAFE_MAX, canonical_json
-from tests.test_cli import EMBED_P13
+from tests.test_cli import EMBED_P13, VERIFY_P13
 
 
 def run(capsys, argv):
@@ -287,6 +288,60 @@ def test_a_deeply_nested_weight_exits_2_with_one_document(capsys, monkeypatch, c
     weight = json.loads(nested(depth))
     kept = {"value": weight} if cli._printable(weight) else {}
     assert doc["witness"] == {"path": "$.weights[0]", **kept}
+
+
+# Coordinates equal to the raw V1 then blocks reuse the decoded layout;
+# these documents differ from it in one place each.  The outputs were
+# captured before the shortcut existed.
+def coordinates_edited(kind):
+    doc = json.loads(EMBED_P13)
+    coordinates = doc["coordinates"]
+    if kind in ("true", "1.0", '"1"'):
+        coordinates[1][1] = json.loads(kind)
+    elif kind == "swapped":
+        coordinates[0], coordinates[1] = coordinates[1], coordinates[0]
+    elif kind == "missing":
+        coordinates.pop()
+    elif kind == "added":
+        coordinates.append([0, 2])
+    return json.dumps(doc)
+
+
+RECOVER_P13 = (
+    '{"schema":1,"command":"recover","dprime":1,"N":3,"m0":3,"V1":[[3,0],[0,1]],'
+    '"V2":[[[4,0],[1,1]],[[5,0],[2,1]],[[6,0],[3,1],[0,2]]],"matches":true}\n'
+)
+NOT_AN_INTEGER = (
+    2,
+    '{"error":"SchemaViolation","message":"expected an integer at $.coordinates[1][1]",'
+    '"witness":{"path":"$.coordinates[1][1]"}}\n',
+)
+NOT_THE_LAYOUT = (
+    1,
+    '{"error":"InvalidEmbeddingData","message":"coordinates must be V1 followed by the V2 blocks"}\n',
+)
+
+
+@pytest.mark.parametrize(
+    "kind,expected",
+    [
+        ("true", {"verify": NOT_AN_INTEGER, "recover": NOT_AN_INTEGER}),
+        ("1.0", {"verify": NOT_AN_INTEGER, "recover": NOT_AN_INTEGER}),
+        ('"1"', {"verify": (0, VERIFY_P13), "recover": (0, RECOVER_P13)}),
+        ("swapped", {"verify": NOT_THE_LAYOUT, "recover": NOT_THE_LAYOUT}),
+        ("missing", {"verify": NOT_THE_LAYOUT, "recover": NOT_THE_LAYOUT}),
+        ("added", {"verify": NOT_THE_LAYOUT, "recover": NOT_THE_LAYOUT}),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "recover"])
+def test_coordinates_off_the_layout_keep_their_bytes(capsys, monkeypatch, command, kind, expected):
+    assert run_on(capsys, monkeypatch, command, coordinates_edited(kind)) == expected[command]
+
+
+def test_coordinates_equal_to_the_layout_are_decoded_once():
+    data = cli._data_from_document(json.loads(EMBED_P13))
+    assert data.coordinates == data.V1 + data.V2
+    assert all(map(operator.is_, data.coordinates, data.V1 + data.V2))
 
 
 # ---------------------------------------------------------------------------

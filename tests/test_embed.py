@@ -9,6 +9,7 @@ computations on small weight systems.
 """
 
 import dataclasses
+import math
 import random
 from collections import Counter
 
@@ -539,6 +540,34 @@ def test_structure_validation():
     expect_invalid(dprime=3)  # not det-ample on the source
 
 
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"V1": [(3, 0), (0, 1)]}, "V1 must be a tuple"),
+        ({"V2_blocks": [((4, 0), (1, 1)), ((5, 0), (2, 1)), ((6, 0), (3, 1), (0, 2))]},
+         "V2_blocks must be a tuple"),
+        ({"V2_blocks": (((4, 0), (1, 1)), [(5, 0), (2, 1)], ((6, 0), (3, 1), (0, 2)))},
+         "V2[2] must be a tuple"),
+        ({"V1": ((3, 0), [0, 1])}, "V1 monomial must be a tuple"),
+        ({"V1": ([3, 0], [0, 1])}, "V1 monomial must be a tuple"),
+        ({"V2_blocks": (((4, 0), (1, 1)), ((5, 0), (2, 1)), ((6, 0), (3, 1), [0, 2]))},
+         "V2[3] monomial must be a tuple"),
+        ({"coordinates": [(3, 0), (0, 1), (4, 0), (1, 1), (5, 0), (2, 1), (6, 0), (3, 1), (0, 2)]},
+         "coordinates must be a tuple"),
+    ],
+    ids=["list V1", "list V2_blocks", "list block", "list monomial", "all list monomials",
+         "list block monomial", "list coordinates"],
+)
+@pytest.mark.parametrize("check", [verify_immersion, recover_data])
+def test_lists_in_place_of_tuples_are_invalid_data(check, changes, message):
+    # A Python caller's lists get the typed error, never a bare TypeError
+    # from hashing or comparing a list.
+    data = dataclasses.replace(find_embedding_data((1, 3), 1), **changes)
+    with pytest.raises(InvalidEmbeddingData) as exc:
+        check(data)
+    assert (str(exc.value), exc.value.witness) == (message, {})
+
+
 def first_monomial_error(data):
     """(message, witness) of the first V1/V2 error found one monomial at a time, or None."""
     width = len(data.source.weights)
@@ -692,6 +721,35 @@ def test_polytope_normality_matches_scan_oracle():
         verdicts[expected] += 1
     assert verdicts[False] >= 100
     assert verdicts[True] >= 50
+
+
+def test_polytope_normality_matches_subset_sum_oracle():
+    # The pruned walk against the per-monomial subset sum it replaced: on
+    # seeded 4- and 5-weight systems at arbitrary degrees, and at degrees
+    # a multiple of the weights' lcm (the descended case, where the
+    # simplex is a lattice simplex and True dominates).
+    rng = random.Random(14)
+    cases = [
+        (tuple(rng.randint(1, 6) for _ in range(rng.randint(4, 5))), rng.randint(1, 12))
+        for _ in range(1500)
+    ]
+    while len(cases) < 1900:
+        weights = tuple(rng.randint(1, 6) for _ in range(rng.randint(4, 5)))
+        if math.lcm(*weights) <= 12:
+            cases.append((weights, math.lcm(*weights)))
+    verdicts = Counter()
+    for weights, degree in cases:
+        expected = oracles.normality_by_subset_sum(weights, degree)
+        assert _polytope_normality(WeightSystem.of(weights), degree) == expected, (weights, degree)
+        verdicts[expected] += 1
+    assert verdicts[False] >= 1000
+    assert verdicts[True] >= 200
+
+
+def test_polytope_normality_walk_depth_is_not_the_recursion_limit():
+    # One walk level per weight: a thousand unit weights go a thousand
+    # levels deep, and every degree-jD monomial dominates a unit vector.
+    assert _polytope_normality(WeightSystem.of((1,) * 1000), 1)
 
 
 def test_global_generation_matches_section_oracle():
