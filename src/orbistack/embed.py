@@ -424,30 +424,27 @@ def _check_chart_generation(data: EmbeddingData) -> tuple[ChartCheck, ...]:
     the fitting property is multiplicative.
 
     A generator e of degree m whose product with the chart monomial is
-    itself in block m fits alone.  Otherwise the search depends on the
-    chart only through its off-support, of which there are at most
-    2^n - 1, so the blocks are projected once per off-support, when a
-    search first needs them, and each verdict is kept per (off-support,
-    generator).
+    itself in block m fits alone, and then the search below would find
+    it too.  So the verdict depends on the chart only through its
+    off-support: the check runs once per off-support, in order of first
+    appearance in V1, trying that shortcut with the first chart of the
+    class, and a failure names that chart, the first one in V1 that
+    fails.  The blocks are projected onto an off-support when a search
+    first needs them.
     """
     generators = hilbert_basis(data.source.matrix(), (data.dprime,), certify=False).generators
     block_sets = [set(block) for block in data.V2_blocks]
-    projections: dict[tuple[int, ...], list[list[Vec]]] = {}
-    reached: set[tuple[tuple[int, ...], int]] = set()
-    reports = []
+    classes: dict[tuple[int, ...], Vec] = {}
     for s in data.V1:
-        off = tuple(j for j, x in enumerate(s) if not x)
-        for k, (e, m) in enumerate(generators):
-            padded = tuple(map(add, e, s))
-            if 1 <= m <= len(block_sets) and padded in block_sets[m - 1]:
+        classes.setdefault(tuple(j for j, x in enumerate(s) if not x), s)
+    for off, s in classes.items():
+        per_block = None
+        for e, m in generators:
+            if 1 <= m <= len(block_sets) and tuple(map(add, e, s)) in block_sets[m - 1]:
                 continue
-            if (off, k) in reached:
-                continue
-            per_block = projections.get(off)
             if per_block is None:
-                per_block = projections[off] = [
-                    sorted({tuple(v[j] for j in off) for v in block})
-                    for block in data.V2_blocks
+                per_block = [
+                    sorted({tuple(v[j] for j in off) for v in block}) for block in data.V2_blocks
                 ]
             if not _multiset_reaches(e, m, off, per_block):
                 raise ChartGenerationFailed(
@@ -456,9 +453,7 @@ def _check_chart_generation(data: EmbeddingData) -> tuple[ChartCheck, ...]:
                     monomial=list(e),
                     degree=m,
                 )
-            reached.add((off, k))
-        reports.append(ChartCheck(s, len(generators)))
-    return tuple(reports)
+    return tuple(ChartCheck(s, len(generators)) for s in data.V1)
 
 
 def _fits(data: EmbeddingData, dprime: int) -> list[bool]:

@@ -132,6 +132,75 @@ def test_verdicts_match_subgroup_search():
                 assert is_stable_support(action, support).stable == expected
 
 
+def certificate_by_dual_cone(action, support):
+    """The dual-cone route is_stable_support replaced, on public lattice calls."""
+    k = action.matrix.k
+    chi = action.character
+    cols = [action.matrix.column(j - 1) for j in sorted(set(support))]
+    if lattice.matrix_rank(cols) < k:
+        lam = lattice.integer_kernel(cols, k)[0]
+        if sum(l * x for l, x in zip(lam, chi)) > 0:
+            lam = tuple(-x for x in lam)
+        return (NOT_STABLE, STABILIZER_INFINITE, lam)
+    pos = lattice.cone_position(chi, cols)
+    if pos.position == lattice.OUTSIDE:
+        return (NOT_STABLE, CHI_OUTSIDE_CONE, pos.witness)
+    if pos.position == lattice.BOUNDARY:
+        return (NOT_STABLE, CHI_ON_BOUNDARY, pos.witness)
+    return (STABLE, None, None)
+
+
+def test_sign_table_certificates_match_the_dual_cone_route():
+    # Verdict, reason and witness agree with a rank test and the dual
+    # cone's first facet against chi, on k = 0..4 with zero and repeated
+    # columns, whole matrices of rank < k, chi = 0 and chi on a wall (a
+    # sum of max(k - 1, 1) columns).  It kills a copy that treats every support
+    # as spanning, reports the last negative facet instead of the first
+    # or the last vanishing one instead of the first, keeps lam_T but
+    # never -lam_T as a facet, or counts a zero value as positive in a
+    # hyperplane's sign masks.
+    rng = random.Random(53)
+    outcomes = {STABLE: 0, STABILIZER_INFINITE: 0, CHI_OUTSIDE_CONE: 0, CHI_ON_BOUNDARY: 0}
+    pairs = deficient = 0
+    for i in range(600):
+        k = i % 5
+        n = rng.randint(1, 8)
+        cols = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(n)]
+        if i % 3 == 0:
+            cols[rng.randrange(n)] = (0,) * k
+        if n >= 2 and i % 4 == 0:
+            cols[rng.randrange(1, n)] = cols[0]
+        if i % 7 == 0 and k >= 2:
+            # Every column a multiple of one vector: the matrix has rank <= 1.
+            base = cols[0]
+            cols = [tuple(rng.randint(-2, 2) * x for x in base) for _ in range(n)]
+        if i % 5 == 1:
+            chi = (0,) * k
+        elif i % 5 == 2 and k:
+            picked = rng.sample(cols, min(n, max(k - 1, 1)))
+            chi = tuple(sum(c[r] for c in picked) for r in range(k))
+        else:
+            chi = tuple(rng.randint(-3, 3) for _ in range(k))
+        rows = tuple(tuple(c[r] for c in cols) for r in range(k))
+        action = CharacterAction(IntMatrix(rows, n), chi)
+        deficient += lattice.matrix_rank(cols) < k
+        for j in range(4):
+            # Mostly supports large enough to span.
+            size = rng.randint(0 if j == 0 else min(k, n), n)
+            support = tuple(sorted(rng.sample(range(1, n + 1), size)))
+            cert = is_stable_support(action, support)
+            expected = certificate_by_dual_cone(action, support)
+            assert (cert.verdict, cert.reason, cert.witness) == expected, (cols, chi, support)
+            outcomes[cert.reason or cert.verdict] += 1
+            pairs += 1
+    # 480 of the stable pairs are k = 0 pairs.
+    assert pairs >= 2000 and deficient >= 60
+    assert outcomes[STABLE] >= 700, outcomes
+    assert outcomes[STABILIZER_INFINITE] >= 500, outcomes
+    assert outcomes[CHI_OUTSIDE_CONE] >= 250, outcomes
+    assert outcomes[CHI_ON_BOUNDARY] >= 250, outcomes
+
+
 def test_stable_locus_frozen():
     assert stable_locus(act([(1, 3)], (1,))).minimal_stable_supports == ((1,), (2,))
     assert stable_locus(act([(1, 3)], (0,))).minimal_stable_supports == ()
@@ -221,8 +290,8 @@ def test_stable_locus_matches_full_walk_oracle():
 
 def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
     # A 3x11 action of the benchmark's shape.  Facet candidates of a
-    # support's dual cone come from its 2-column subsets, and there are
-    # only C(11, 2) of those however many supports contain them; the
+    # support's cone come from its 2-column subsets, and there are only
+    # C(11, 2) of those however many supports contain them; the
     # other kernel solves are git's StabilizerInfinite witnesses, one
     # per tested support of rank < 3.  The search tests no support of
     # more than 2k = 6 columns.  The action's data is validated when it
@@ -234,9 +303,10 @@ def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
     ]
     action = act(rows, (0, -1, -1))
     cols = [tuple(r[j] for r in rows) for j in range(11)]
-    for value in vars(lattice).values():
-        if callable(getattr(value, "cache_clear", None)):
-            value.cache_clear()
+    for module in (lattice, git):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
     calls = []
     solve = lattice.integer_kernel
 

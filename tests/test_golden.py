@@ -16,7 +16,8 @@ from math import comb
 
 import pytest
 
-from orbistack import cli, git
+from orbistack import cli, git, lattice
+from tests import oracles
 
 README_JOBS = [
     (["sections", "--weights", "1,3", "--degree", "6"],
@@ -91,6 +92,11 @@ ACTIONS = {
             "2,2,1,2,1,-2,1,2,-1,1,-1,1,-1,0",
     "2x22": "0,0,-2,-1,1,1,2,-1,1,-1,2,-2,2,-2,-2,0,2,2,0,-1,-1,1;"
             "1,2,-1,1,0,-1,2,2,2,-2,-2,1,-1,0,2,-2,0,1,-1,-1,0,1",
+    "3x16": "2,-1,1,2,0,-2,-1,2,0,0,0,2,2,2,-1,0;"
+            "-1,2,2,0,-2,-1,-1,2,1,0,-2,1,-2,-1,0,0;"
+            "2,2,1,2,1,-2,1,2,-1,1,-1,1,-1,0,1,-1",
+    "4x12": "1,1,-2,0,2,1,1,0,1,0,2,-1;-2,0,-1,-2,-2,2,-1,0,2,2,1,1;"
+            "2,-1,1,1,2,2,1,0,0,1,2,2;-2,-1,-1,-2,2,1,-2,-2,2,0,1,1",
 }
 STABILITY_JOBS = [
     ("stable-locus", "2x12", "-2,0",
@@ -106,6 +112,11 @@ STABILITY_JOBS = [
      "8dc0806b322825b84e1f8f0a476e466f47409a77c8f7dc4ebe2bc5055fb20833"),
     ("stable-locus", "3x14", "-1,0,1",
      "f6e9574fc3dce595710822e44890e4fc0ce77d5f30d9fc224fbf733ad6b55c38"),
+    # Captured while each support still built its own dual cone.
+    ("stable-locus", "3x16", "-1,2,-2",
+     "df049add3f078fc156d3a805ce72bd23ccc07160cf01d337374b32eef4bf5329"),
+    ("stable-locus", "4x12", "2,-2,1,0",
+     "ba2d579c95a3a8ca142742218f7068e1cdee992a2434e1e0ce27935f1eb2b273"),
     ("proj", "2x12", "-2,0",
      "8d7b08ea6506f024b0e5ca05508c11b70e20f739892178cde00fd552a14c8620"),
     ("proj", "2x12", "-6,0",
@@ -172,3 +183,38 @@ def test_stable_locus_on_22_columns_tests_supports_of_at_most_2k(capsys, monkeyp
     argv = ["stable-locus", f"--matrix={ACTIONS['2x22']}", "--chi=-2,1"]
     assert json.loads(stdout_of(capsys, argv))["minimal_supports"]
     assert len(tested) <= sum(comb(22, i) for i in range(5)) == 9109
+
+
+def test_stable_locus_on_16_columns_solves_each_hyperplane_once(capsys, monkeypatch):
+    # Every facet normal the 3x16 action's supports use is the normal of
+    # a 2-column subset, solved once into the action's sign table however
+    # many supports contain it: at most C(16, 2) kernel solves, plus one
+    # StabilizerInfinite witness per tested support of rank < 3.
+    for module in (lattice, git):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    calls = []
+    solve = lattice.integer_kernel
+
+    def counting(rows, n):
+        calls.append(n)
+        return solve(rows, n)
+
+    tested = []
+    classify = git.is_stable_support
+
+    def recording(act, support):
+        tested.append(tuple(support))
+        return classify(act, support)
+
+    monkeypatch.setattr(lattice, "integer_kernel", counting)
+    monkeypatch.setattr(git, "integer_kernel", counting)
+    monkeypatch.setattr(git, "is_stable_support", recording)
+    argv = ["stable-locus", f"--matrix={ACTIONS['3x16']}", "--chi=-1,2,-2"]
+    assert json.loads(stdout_of(capsys, argv))["minimal_supports"]
+    rows = [[int(x) for x in row.split(",")] for row in ACTIONS["3x16"].split(";")]
+    cols = [tuple(r[j] for r in rows) for j in range(16)]
+    deficient = sum(oracles.frac_rank([cols[j - 1] for j in s]) < 3 for s in tested)
+    assert len(tested) <= sum(comb(16, i) for i in range(7))
+    assert deficient <= len(calls) <= comb(16, 2) + deficient
