@@ -6,10 +6,13 @@ ordered, so identical jobs produce identical bytes.  Integers beyond the
 53-bit safe range are emitted as decimal strings: every such integer has
 at least 16 digits, so `emit` prints a document with one `json.dumps`
 and copies it with those integers as strings only when that text holds a
-run of 16 ASCII digits.  Documents read back are checked array by array
+run of 16 ASCII digits.  The `sections` and `embed` handlers return a
+bound on every int in their fields; when it is within the safe range,
+`emit` skips that scan.  Documents read back are checked array by array
 in bulk, and only an array that fails the bulk check is decoded entry by
 entry to name the offending path.  Exit codes: 0 success, 1 domain
-failure (machine-readable error object on stdout), 2 malformed input.
+failure (machine-readable error object on stdout), 2 malformed input;
+a reader that closes stdout early also gets 1, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def _encode(value, path: str = "$"):
     raise TypeError(f"cannot serialize {value!r}")
 
 
-def emit(document) -> str:
+def emit(document, bound: int | None = None) -> str:
     """The canonical text of document: compact JSON, ints past SAFE_MAX as strings.
 
     One json.dumps pass prints it at C speed.  An int past SAFE_MAX has
@@ -71,14 +74,16 @@ def emit(document) -> str:
     digits (such an int, or a safe 16-digit int, or digits in a string)
     is the document printed again from its _encode copy.  So is a
     document json.dumps refuses: one holding an int past the digit
-    limit fails there as a SchemaViolation naming its member.
+    limit fails there as a SchemaViolation naming its member.  A caller
+    that knows bound >= |x| for every int x in document, with bound at
+    most SAFE_MAX, skips the scan: that text is already canonical.
     """
     try:
         text = json.dumps(document, separators=(",", ":"), allow_nan=False)
     except (TypeError, ValueError):
         pass
     else:
-        if _SIXTEEN_DIGITS.search(text) is None:
+        if (bound is not None and bound <= SAFE_MAX) or _SIXTEEN_DIGITS.search(text) is None:
             return text
     return json.dumps(_encode(document), separators=(",", ":"))
 
@@ -443,15 +448,13 @@ def _pretty_lines(doc: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 # command handlers
 
-def _cmd_sections(args) -> dict:
+def _cmd_sections(args) -> tuple[dict, int]:
     weights = _parse_weights(args.weights)
     degree = _parse_int(args.degree, "degree")
     basis = wps_mod.section_basis(weights, degree)
-    return {
-        "weights": weights,
-        "degree": degree,
-        "basis": basis.basis,
-    }
+    fields = {"weights": weights, "degree": degree, "basis": basis.basis}
+    # Weights are positive, so no exponent exceeds the degree.
+    return fields, max(*weights, abs(degree))
 
 
 def _cmd_hilbert_series(args) -> dict:
@@ -490,11 +493,16 @@ def _cmd_ample_check(args) -> dict:
     }
 
 
-def _cmd_embed(args) -> dict:
+def _cmd_embed(args) -> tuple[dict, int]:
     weights = _parse_weights(args.weights)
     degree = _parse_int(args.degree, "degree")
     data = embed_mod.find_embedding_data(weights, degree)
-    return _document_from_data(data)
+    # Exponents of block m have weighted degree (N + m) * dprime, so with
+    # positive weights none exceeds (N + m0) * dprime; nor does dprime, m0,
+    # N, a target weight or a twist tried.  N * dprime is a multiple of the
+    # descent modulus, which every weight divides, and the normality
+    # degrees are below the number of weights.
+    return _document_from_data(data), max((data.N + data.m0) * data.dprime, len(weights))
 
 
 def _cmd_verify(args) -> dict:
@@ -759,23 +767,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str, code: int) -> int:
+    """Print text and return code, or 1 with nothing on stderr if the reader left.
+
+    This is the recipe of the Python docs' note on SIGPIPE: once stdout
+    is closed, point it at devnull so the flush at exit cannot fail too.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        document = {"schema": 1, "command": args.command, **args.handler(args)}
-        text = emit(document)
+        result = args.handler(args)
+        # sections and embed return their fields with a bound on every int in them.
+        fields, bound = result if isinstance(result, tuple) else (result, None)
+        document = {"schema": 1, "command": args.command, **fields}
+        text = emit(document, bound)
     except DomainError as err:
         code = 2 if isinstance(err, SchemaViolation) else 1
         try:
             text = emit(err.payload())
         except SchemaViolation as unprintable:  # a witness past the digit limit
             text, code = emit(unprintable.payload()), 2
-        print(text)
-        return code
-    print("\n".join(_pretty_lines(document)) if args.pretty else text)
-    if args.command == "selftest" and not document["passed"]:
-        return 1
-    return 0
+        return _write(text, code)
+    code = 1 if args.command == "selftest" and not document["passed"] else 0
+    return _write("\n".join(_pretty_lines(document)) if args.pretty else text, code)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
-from operator import mul
+from operator import and_, mod, mul, rshift, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InfiniteSolutionSet, InvariantViolation
@@ -413,31 +413,55 @@ def _pivot_plan(cols: tuple[Vec, ...]) -> tuple[tuple[int, ...], tuple[int, ...]
     return rows, pivots, adj, det
 
 
-def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], budget: int) -> list[Vec]:
-    """All e >= 0 with sum_j e_j * cols[j] == target, pruned by a strict functional.
+def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], budget: int) -> tuple[Vec, ...]:
+    """All e >= 0 with sum_j e_j * cols[j] == target, in grlex_key order.
 
-    costs[j] > 0 is the functional's value on column j and the functional
-    takes value ``budget`` on the target, so exponents are boxed.  Only
-    the non-pivot exponents are enumerated, inside that box; the pivots
-    are recovered exactly as x_B = adj(B) . res / det B and a point is
-    kept when the division is exact and x_B >= 0.  The last free exponent
-    is not enumerated: x_B is affine in it, so the sign constraints give
-    its range and the divisibility constraints a residue class.  Rows
-    outside the pivot rows are rational combinations of them and are
-    checked on every point kept.
+    costs[j] > 0 is the value of a strict functional on column j and the
+    functional takes value ``budget`` on the target, so exponents are
+    boxed.  Only the non-pivot exponents are enumerated, inside that
+    box; the pivots are recovered exactly as x_B = adj(B) . res / det B
+    and a point is kept when the division is exact and x_B >= 0.  The
+    last free exponent is not enumerated: x_B is affine in it, so the
+    sign constraints give its range and the divisibility constraints a
+    residue class, and its points are one line.  Rows outside the pivot
+    rows are rational combinations of them: a target outside the span of
+    the columns has no solution, and for any other target a solution of
+    the pivot rows solves them all.
+
+    Points are found as keys.  No exponent exceeds budget // min(costs),
+    so each fits in ``bits`` bits, and
+    key(e) = sum_j e_j * (2**(bits*n) + 2**(bits*(n-1-j))),
+    the total degree followed by the exponents as bits-wide digits, is
+    injective and sorts exactly as grlex_key in reverse.  The key is
+    affine in the exponents, so each line is one range of keys; the keys
+    are sorted once as ints and their digits read back as the points.
     """
     rows, pivots, adj, det = _pivot_plan(tuple(cols))
+    if len(rows) < len(target) and _rank_cached(tuple(cols) + (target,)) > len(rows):
+        return ()
     n = len(cols)
+    bits = (budget // min(costs)).bit_length()
+    shifts = [bits * (n - 1 - j) for j in range(n)]
+    weight = [(1 << bits * n) + (1 << s) for s in shifts]
     # The cheapest column, with the widest range, goes last, where its
     # range is computed rather than enumerated.
     free = sorted((j for j in range(n) if j not in pivots), key=lambda j: -costs[j])
     # The residual in pivot coordinates: adj . (target - sum e_j cols[j]).
     moved = [tuple(_dot(a, [cols[j][i] for i in rows]) for a in adj) for j in free]
     start = tuple(_dot(a, [target[i] for i in rows]) for a in adj)
-    out: list[Vec] = []
-    e = [0] * n
+    # det * key of a point is _dot(start, pivot_weight) plus rise[f] per
+    # unit of each free exponent e_f, the pivots taking up the residual.
+    pivot_weight = [weight[p] for p in pivots]
+    rise = [det * weight[j] - _dot(v, pivot_weight) for j, v in zip(free, moved)]
+    keys: list[int] = []
+    if free:
+        # On the last free column every t with u - t v = 0 mod det lies
+        # in one class mod step, looked up by u mod det.
+        v, slope = moved[-1], rise[-1]
+        step = det // gcd(det, *v)
+        classes = {tuple(t * vi % det for vi in v): t for t in range(step)}
 
-    def last(j: int, v: Vec, u: Vec, hi: int) -> None:
+    def last(u: Vec, hi: int, scaled: int) -> None:
         lo = 0
         for ui, vi in zip(u, v):
             if vi > 0:
@@ -446,42 +470,47 @@ def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], b
                 lo = max(lo, -(ui // -vi))
             elif ui < 0:
                 return
-        # Every t with u - t v = 0 mod det is in one class mod step.
-        step = det // gcd(det, *v)
-        t0 = next(
-            (t for t in range(lo, min(hi, lo + step - 1) + 1)
-             if all((ui - t * vi) % det == 0 for ui, vi in zip(u, v))),
-            None,
-        )
-        if t0 is None:
+        t = classes.get(tuple(map(mod, u, itertools.repeat(det))))
+        if t is None:
             return
-        count = (hi - t0) // step + 1
-        columns = [itertools.repeat(x, count) for x in e]
-        columns[j] = range(t0, hi + 1, step)
-        for p, ui, vi in zip(pivots, u, v):
-            x0, dx = (ui - t0 * vi) // det, -step * vi // det
-            columns[p] = range(x0, x0 + dx * count, dx) if dx else itertools.repeat(x0, count)
-        out.extend(zip(*columns))
+        t = lo + (t - lo) % step
+        if t > hi:
+            return
+        count = (hi - t) // step + 1
+        key, dkey = (scaled + t * slope) // det, step * slope // det
+        # Distinct points have distinct keys, so dkey != 0 when count > 1.
+        keys.extend(range(key, key + dkey * count, dkey) if count > 1 else (key,))
 
-    def rec(depth: int, u: Vec, b: int) -> None:
-        j, v, c = free[depth], moved[depth], costs[free[depth]]
+    def rec(depth: int, u: Vec, b: int, scaled: int) -> None:
+        c = costs[free[depth]]
         if depth == len(free) - 1:
-            last(j, v, u, b // c)
+            last(u, b // c, scaled)
             return
         for t in range(b // c + 1):
-            e[j] = t
-            rec(depth + 1, u, b - c * t)
-            u = tuple(ui - vi for ui, vi in zip(u, v))
+            rec(depth + 1, u, b - c * t, scaled)
+            u = tuple(map(sub, u, moved[depth]))
+            scaled += rise[depth]
 
     if free:
-        rec(0, start, budget)
+        rec(0, start, budget, _dot(start, pivot_weight))
     elif all(ui >= 0 and ui % det == 0 for ui in start):
         # Every column is a pivot, in order.
-        out.append(tuple(ui // det for ui in start))
-    if len(rows) < len(target):
-        full = tuple(zip(*cols))
-        out = [x for x in out if all(_dot(full[i], x) == target[i] for i in range(len(target)))]
-    return out
+        keys.append(_dot(start, pivot_weight) // det)
+    keys.sort(reverse=True)
+    mask = (1 << bits) - 1
+    digits = [
+        map(and_, map(rshift, keys, itertools.repeat(s)), itertools.repeat(mask)) for s in shifts
+    ]
+    if bits <= 64:
+        # Exponents go through arrays so that the keys are freed before
+        # any point is built: points built while the keys live share
+        # their memory pools and keep them from the system afterwards.
+        # array is imported here to keep it out of the CLI's start-up.
+        from array import array
+
+        digits = [array("Q", d) for d in digits]
+        keys.clear()
+    return tuple(zip(*digits))
 
 
 def _dominates(x: Sequence[int], found: Iterable[Sequence[int]]) -> bool:
@@ -564,7 +593,7 @@ def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tupl
                         continue
                     nxt[y] = (tuple(a + b for a, b in zip(ax, cols[j])), ymask)
         frontier = nxt
-    return tuple(sorted((x for group in minimals.values() for x in group), key=grlex_key))
+    return sort_monomials(x for group in minimals.values() for x in group)
 
 
 def _recession_direction(W: IntMatrix) -> Vec:
@@ -592,8 +621,11 @@ def _piece_nonempty(W: IntMatrix, target: Vec) -> bool:
 def graded_sections(W: IntMatrix, chi: Sequence[int], m: int) -> GradedSolutionSet:
     """The graded piece {e >= 0 : W e = m chi}, fully enumerated.
 
-    Raises InfiniteSolutionSet (with a recession direction as witness)
-    when the piece is infinite, rather than truncating it.
+    The basis comes out of the enumeration in grlex_key order, the
+    canonical order of every emitted monomial list, with no sort of the
+    monomials themselves.  Raises InfiniteSolutionSet (with a recession
+    direction as witness) when the piece is infinite, rather than
+    truncating it.
     """
     chi_v = _as_vec(chi, W.k, "character")
     if not isinstance(m, int):
@@ -615,8 +647,7 @@ def graded_sections(W: IntMatrix, chi: Sequence[int], m: int) -> GradedSolutionS
     if budget < 0:
         return GradedSolutionSet(m, ())
     costs = [_dot(lam, c) for c in cols]
-    basis = _bounded_solutions(cols, target, costs, budget)
-    return GradedSolutionSet(m, sort_monomials(basis))
+    return GradedSolutionSet(m, _bounded_solutions(cols, target, costs, budget))
 
 
 def is_nonneg_combination(target: Sequence[int], generators: Iterable[Sequence[int]]) -> bool:
@@ -676,8 +707,10 @@ def hilbert_basis(
             invs.append(e)
         else:
             gens.append((e, mdeg))
-    gens.sort(key=lambda g: (g[1], grlex_key(g[0])))
-    invariants = sort_monomials(invs)
+    # mins is in grlex_key order, and on solutions of one degree m that
+    # is the order of their exponents; the stable sort keeps it.
+    gens.sort(key=lambda g: g[1])
+    invariants = tuple(invs)
     pointed = not invariants
     certified = None
     if certify and pointed:

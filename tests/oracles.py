@@ -5,10 +5,10 @@ via Fraction Gaussian elimination, lattice membership via minor gcds,
 solution sets via box enumeration, stability via bounded search over
 one-parameter subgroups, chart generation via literal multiset search,
 normality via the literal decomposition scan, global generation via
-whole section spaces, canonical JSON via a full copy of the document,
-recovery by grouping coordinates into weight classes, base loci by
-walking every support.  Slow and obvious on purpose; nothing imports
-from the package.
+whole section spaces, the canonical monomial order via one keyed sort,
+canonical JSON via a full copy of the document, recovery by grouping
+coordinates into weight classes, base loci by walking every support.
+Slow and obvious on purpose; nothing imports from the package.
 """
 
 import json
@@ -152,6 +152,15 @@ def box_solutions(rows, target, bounds) -> list[tuple[int, ...]]:
         if all(sum(r[j] * e[j] for j in range(len(e))) == t for r, t in zip(rows, target)):
             out.append(e)
     return out
+
+
+def grlex_sorted(vectors) -> list[tuple[int, ...]]:
+    """The canonical monomial order by one keyed sort.
+
+    Higher total degree first; within a degree, larger exponents first,
+    compared left to right.
+    """
+    return sorted((tuple(v) for v in vectors), key=lambda e: (-sum(e), [-x for x in e]))
 
 
 def minimal_vectors(vectors) -> set[tuple[int, ...]]:

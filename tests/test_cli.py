@@ -437,3 +437,33 @@ def test_shared_parser_leaves_no_state_between_calls(capsys):
     assert cli.build_parser.cache_info().misses == 1
     assert [code for code, _ in in_process] == [2, 0, 0, 2, 2, 0, 0]
     assert in_process == separate
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # About 1 MB, more than a pipe holds: print itself meets the closed pipe.
+        ["sections", "--weights", "1,1,1", "--degree", "400"],
+        # A few bytes, still in the buffer when main flushes it.
+        ["sections", "--weights", "1,3", "--degree", "6"],
+    ],
+)
+def test_closed_stdout_exits_1_with_nothing_on_stderr(argv):
+    # As when the reader is `head -c 10`: the read end of stdout is
+    # closed before the document is written.  stdout stays buffered, as
+    # it is by default for a pipe.
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-m", "orbistack.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), stderr) == (1, b"")

@@ -3,7 +3,9 @@
 `cli.emit` prints a document by one compact `json.dumps` and falls back
 to the two-pass encoder only for ints past the safe range or past the
 digit limit; `oracles.canonical_json` is that two-pass rule on its own,
-and the two must agree byte for byte.  `verify` and `recover` decode
+and the two must agree byte for byte, also when the caller passes a
+bound on the document's ints that lets `emit` skip its digit scan, as
+the `sections` and `embed` handlers do.  `verify` and `recover` decode
 embed documents by bulk checks with a path-tracking fallback; over
 seeded mutated documents their exit codes and stdout are pinned by one
 digest, taken before the bulk checks existed.
@@ -15,12 +17,13 @@ import io
 import json
 import operator
 import random
+import re
 import sys
 
 import pytest
 
 from orbistack import cli
-from orbistack.errors import SchemaViolation
+from orbistack.errors import DomainError, SchemaViolation
 from tests.oracles import SAFE_MAX, canonical_json
 from tests.test_cli import EMBED_P13, VERIFY_P13
 
@@ -73,11 +76,15 @@ def random_value(rng, depth=0):
     return {f"k{i}": v for i, v in enumerate(items)}
 
 
-def test_emit_agrees_with_the_two_pass_encoder_on_seeded_documents():
+def seeded_documents():
     rng = random.Random(20261018)
-    fallbacks = 0
     for _ in range(2500):
-        document = {"schema": 1, "body": random_value(rng)}
+        yield {"schema": 1, "body": random_value(rng)}
+
+
+def test_emit_agrees_with_the_two_pass_encoder_on_seeded_documents():
+    fallbacks = 0
+    for document in seeded_documents():
         expected = canonical_json(document)
         assert cli.emit(document) == expected
         fallbacks += expected != json.dumps(document, separators=(",", ":"))
@@ -108,6 +115,80 @@ def test_emit_names_the_member_holding_an_int_past_the_digit_limit():
         "message": "integer has too many digits at $.result.modulus",
         "witness": {"path": "$.result.modulus"},
     }
+
+
+# ---------------------------------------------------------------------------
+# bounded documents
+
+
+def int_bound(value) -> int:
+    """The largest |x| over the ints x in value, 0 when it holds none."""
+    if isinstance(value, int):
+        return abs(value)
+    if isinstance(value, (list, tuple)):
+        return max(map(int_bound, value), default=0)
+    if isinstance(value, dict):
+        return max(map(int_bound, value.values()), default=0)
+    return 0
+
+
+def test_emit_with_the_true_bound_agrees_on_seeded_documents():
+    skipped = 0
+    for document in seeded_documents():
+        bound = int_bound(document)
+        text = cli.emit(document, bound)
+        assert text == cli.emit(document)
+        # A 16-digit run the scan would have copied the document for.
+        skipped += bound <= SAFE_MAX and re.search("[0-9]{16}", text) is not None
+    assert skipped > 500
+
+
+def test_emit_scans_when_the_bound_passes_the_safe_range():
+    assert cli.emit({"x": [2**53]}, 2**53) == '{"x":["9007199254740992"]}'
+    assert cli.emit({"x": [SAFE_MAX]}, SAFE_MAX) == '{"x":[9007199254740991]}'
+
+
+def test_sections_past_the_safe_range_keep_their_bytes(capsys):
+    # The handler's bound is the degree itself, past SAFE_MAX: emit scans.
+    code, out = run(capsys, ["sections", "--weights", "1", "--degree", "9007199254740993"])
+    assert code == 0
+    assert out == (
+        '{"schema":1,"command":"sections","weights":[1],'
+        '"degree":"9007199254740993","basis":[["9007199254740993"]]}\n'
+    )
+
+
+def bounded_document(argv):
+    """The document main prints for argv, and the bound its handler gives."""
+    args = cli.build_parser().parse_args(argv)
+    fields, bound = args.handler(args)
+    return {"schema": 1, "command": args.command, **fields}, bound
+
+
+def test_sections_and_embed_bound_every_int_they_print():
+    rng = random.Random(1616)
+    for _ in range(120):
+        weights = ",".join(str(rng.randint(1, 7)) for _ in range(rng.randint(1, 5)))
+        document, bound = bounded_document(
+            ["sections", "--weights", weights, f"--degree={rng.randint(-3, 60)}"]
+        )
+        assert int_bound(document) <= bound <= SAFE_MAX
+        assert cli.emit(document, bound) == canonical_json(document)
+    # Unit weights first: their normality degrees pass (N + m0) * dprime.
+    jobs = [(",".join(["1"] * n), 1) for n in (5, 6)]
+    embedded = 0
+    while embedded < 40:
+        weights, degree = jobs.pop() if jobs else (
+            ",".join(str(rng.randint(1, 6)) for _ in range(rng.randint(1, 4))),
+            rng.randint(1, 3),
+        )
+        try:
+            document, bound = bounded_document(["embed", "--weights", weights, f"--degree={degree}"])
+        except DomainError:
+            continue
+        embedded += 1
+        assert int_bound(document) <= bound <= SAFE_MAX
+        assert cli.emit(document, bound) == canonical_json(document)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Source hygiene, read from the source text with the stdlib only.
 
 No module of the package keeps an import it never uses (``__init__``
-re-exports on purpose), and the CLI's schema tag is built in one place.
+re-exports on purpose), no module sorts with a Python key per monomial
+(``grlex_key`` is the tests' oracle of the canonical order, which
+graded pieces come out in and ``sort_monomials`` puts any other list
+in), and the CLI's schema tag is built in one place.
 """
 
 import ast
@@ -39,6 +42,42 @@ def test_unused_imports_are_flagged():
     assert unused_imports("from itertools import combinations\ndef f(): pass") == ["combinations"]
     # Only module-level imports are checked.
     assert unused_imports("def f():\n    import json") == []
+
+
+def sorts_keyed_by(source: str, name: str) -> list[int]:
+    """Lines of source calling sorted() or .sort() with a key that mentions name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not (
+            isinstance(func, ast.Name) and func.id == "sorted"
+            or isinstance(func, ast.Attribute) and func.attr == "sort"
+        ):
+            continue
+        for kw in node.keywords:
+            if kw.arg == "key" and any(
+                isinstance(n, ast.Name) and n.id == name
+                or isinstance(n, ast.Attribute) and n.attr == name
+                for n in ast.walk(kw.value)
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_sorts_by_grlex_key():
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = {p.name: sorts_keyed_by(p.read_text(), "grlex_key") for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_sorts_keyed_by_grlex_key_are_flagged():
+    assert sorts_keyed_by("sorted(xs, key=grlex_key)", "grlex_key") == [1]
+    assert sorts_keyed_by("x = 1\nxs.sort(key=lambda g: (g[1], grlex_key(g[0])))", "grlex_key") == [2]
+    assert sorts_keyed_by("sorted(xs, reverse=True, key=lattice.grlex_key)", "grlex_key") == [1]
+    assert sorts_keyed_by("sorted(xs, key=sum)\ngrlex_key(x)", "grlex_key") == []
+    assert sorts_keyed_by("min(xs, key=grlex_key)", "grlex_key") == []
 
 
 def test_the_schema_tag_is_built_once():

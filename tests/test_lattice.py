@@ -399,6 +399,106 @@ def test_graded_outputs_match_frozen_digest():
     assert h.hexdigest() == FROZEN_GRADED_DIGEST
 
 
+def test_graded_sections_order_on_large_seeded_pieces():
+    # Pieces come out of the enumeration in canonical order, with no sort
+    # of the monomials; each is compared, content and order, with one
+    # keyed stdlib sort of a plain recursive enumeration.  One weight
+    # gives at most one monomial per degree; from two weights on, every
+    # piece holds at least 10**4 monomials.
+    rng = random.Random(1616)
+    sizes = []
+    for n in range(1, 7):
+        for _ in range(3):
+            weights = tuple(rng.randint(1, 6) for _ in range(n))
+            g = gcd(*weights)
+            degree = g * rng.randint(0, 40)
+            expected = oracles.grlex_sorted(oracles.monomials_of_degree(weights, degree))
+            while n > 1 and len(expected) < 10**4:
+                degree += g * max(1, degree // (4 * g))
+                expected = oracles.grlex_sorted(oracles.monomials_of_degree(weights, degree))
+            got = graded_sections(W(weights), (1,), degree).basis
+            assert list(got) == expected, (weights, degree)
+            sizes.append(len(got))
+    assert min(sizes[3:]) >= 10**4
+
+
+def test_graded_sections_order_past_64_bit_keys():
+    # Exponents reach 1500 and need 11 bits each, so with six columns the
+    # ordering keys pass 2**66.
+    weights = (1, 100, 200, 300, 400, 500)
+    got = graded_sections(W(weights), (1,), 1500).basis
+    assert list(got) == oracles.grlex_sorted(oracles.monomials_of_degree(weights, 1500))
+    assert len(got) > 100
+    got = graded_sections(W((1, 100, 200, 300), (0, 1, 0, 1)), (1500, 3), 1).basis
+    first_row = oracles.monomials_of_degree((1, 100, 200, 300), 1500)
+    assert list(got) == oracles.grlex_sorted(e for e in first_row if e[1] + e[3] == 3)
+    assert got
+    # Exponents past 64 bits.
+    assert graded_sections(W((1, 10**30)), (1,), 10**30).basis == ((10**30, 0), (0, 1))
+    assert graded_sections(W((3, 2**70)), (1,), 3 * 2**70).basis == ((2**70, 0), (0, 3))
+
+
+@pytest.mark.parametrize(
+    "rows,target,expected",
+    [
+        # Every column a pivot: one point or none.
+        (((1, 0), (0, 1)), (4, 4), ((4, 4),)),
+        (((2, 1), (1, 3)), (3, 4), ((1, 1),)),
+        (((2, 0), (0, 2)), (1, 2), ()),
+        (((1, -1), (1, 1)), (0, -2), ()),
+        # Every column a pivot, and a third row dependent on the first two.
+        (((1, 0), (0, 1), (1, 1)), (2, 4, 6), ((2, 4),)),
+        (((1, 0), (0, 1), (1, 1)), (2, 4, 5), ()),
+        # Free columns, and a dependent row the pivots leave out.
+        (((1, 1, 1), (1, 2, 3), (2, 3, 4)), (6, 12, 18), ((3, 0, 3), (2, 2, 2), (1, 4, 1), (0, 6, 0))),
+        (((1, 1, 1), (1, 2, 3), (2, 3, 4)), (6, 12, 17), ()),
+    ],
+)
+def test_graded_sections_multi_row_branches(rows, target, expected):
+    got = graded_sections(W(*rows), target, 1).basis
+    assert got == expected
+    bounds = [max(target)] * len(rows[0])
+    assert list(got) == oracles.grlex_sorted(oracles.box_solutions(rows, target, bounds))
+
+
+def test_graded_sections_order_on_seeded_multi_row_pieces():
+    # Two and three rows, the first positive, so the box from the first
+    # row holds the piece.  Half the inputs get a dependent last row and
+    # a fifth have no more columns than the rank, so both the all-pivot
+    # branch and the span check on left-out rows run, with and without
+    # points.
+    rng = random.Random(1617)
+    counts = dict.fromkeys(
+        ("all_pivot", "all_pivot_nonempty", "deficient", "deficient_nonempty", "large"), 0
+    )
+    for _ in range(400):
+        k = rng.randint(2, 3)
+        n = rng.randint(k - 1, 5) if rng.random() < 0.8 else rng.randint(1, k)
+        rows = [[rng.randint(1, 3) for _ in range(n)]]
+        rows += [[rng.randint(-2, 3) for _ in range(n)] for _ in range(k - 1)]
+        if rng.random() < 0.5:
+            a, b = rng.randint(-1, 2), rng.randint(-1, 2)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+        target = (rng.randint(0, 8),) + tuple(rng.randint(-4, 8) for _ in range(k - 1))
+        if rng.random() < 0.5:
+            # Aim at the span: the target of a random point.
+            e = [rng.randint(0, 2) for _ in range(n)]
+            target = tuple(sum(r[j] * e[j] for j in range(n)) for r in rows)
+        got = graded_sections(W(*rows), target, 1).basis
+        bounds = [target[0] // rows[0][j] for j in range(n)]
+        assert list(got) == oracles.grlex_sorted(oracles.box_solutions(rows, target, bounds))
+        rank = oracles.frac_rank(rows)
+        counts["all_pivot"] += rank == n
+        counts["all_pivot_nonempty"] += rank == n and bool(got)
+        counts["deficient"] += rank < k
+        counts["deficient_nonempty"] += rank < k and bool(got)
+        counts["large"] += len(got) >= 10
+    minimum = dict(
+        all_pivot=100, all_pivot_nonempty=50, deficient=180, deficient_nonempty=80, large=12
+    )
+    assert all(counts[case] >= floor for case, floor in minimum.items()), counts
+
+
 def test_graded_sections_empty_and_infinite():
     skew = W((2, -2))
     assert graded_sections(skew, (1,), 1).basis == ()
