@@ -6,11 +6,12 @@ ordered, so identical jobs produce identical bytes.  Integers beyond the
 53-bit safe range are emitted as decimal strings: every such integer has
 at least 16 digits, so `emit` prints a document with one `json.dumps`
 and copies it with those integers as strings only when that text holds a
-run of 16 ASCII digits.  The `sections` and `embed` handlers return a
-bound on every int in their fields; when it is within the safe range,
-`emit` skips that scan.  Documents read back are checked array by array
-in bulk, and only an array that fails the bulk check is decoded entry by
-entry to name the offending path.  Exit codes: 0 success, 1 domain
+run of 16 ASCII digits.  Every handler returns its fields with a bound
+on every int in them, or None; `sections` and `embed` know one, and
+when it is within the safe range `emit` skips that scan.  Documents
+read back are checked array by array in bulk, and only an array that
+fails the bulk check is decoded entry by entry to name the offending
+path.  Exit codes: 0 success, 1 domain
 failure (machine-readable error object on stdout), 2 malformed input;
 a reader that closes stdout early also gets 1, with nothing on stderr.
 """
@@ -171,7 +172,8 @@ def _env_degree_bound() -> int | None:
 # ---------------------------------------------------------------------------
 # document construction
 
-def _document_from_data(data: embed_mod.EmbeddingData) -> dict:
+def _document_from_data(data: embed_mod.EmbeddingData) -> tuple[dict, int]:
+    """The embed document of data, and a bound on every int in it."""
     doc = {
         "weights": data.source.weights,
         "dprime": data.dprime,
@@ -182,6 +184,8 @@ def _document_from_data(data: embed_mod.EmbeddingData) -> dict:
         "target_weights": data.target_weights,
         "coordinates": data.coordinates,
     }
+    ints = [data.dprime, data.m0, data.N, max(data.source.weights)]
+    ints.append(max(data.target_weights, default=0))
     cert = data.certification
     if cert is not None:
         doc["certification"] = {
@@ -191,7 +195,10 @@ def _document_from_data(data: embed_mod.EmbeddingData) -> dict:
             "normality_degrees_checked": cert.normality_degrees_checked,
             "assumption": cert.assumption,
         }
-    return doc
+        ints += [cert.descent_modulus, *cert.candidates_tried, *cert.normality_degrees_checked]
+    # A monomial of V1 or of block m has weighted degree (N + m) * dprime
+    # and the weights are positive, so no exponent exceeds (N + m0) * dprime.
+    return doc, max(*map(abs, ints), abs((data.N + data.m0) * data.dprime))
 
 
 def _want(doc: dict, key: str, path: str, kind: type = object, what: str = ""):
@@ -446,9 +453,10 @@ def _pretty_lines(doc: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns (fields, bound), with bound >= |x| for
+# every int x in fields, or None when it knows no such bound.
 
-def _cmd_sections(args) -> tuple[dict, int]:
+def _cmd_sections(args) -> tuple[dict, int | None]:
     weights = _parse_weights(args.weights)
     degree = _parse_int(args.degree, "degree")
     basis = wps_mod.section_basis(weights, degree)
@@ -457,7 +465,7 @@ def _cmd_sections(args) -> tuple[dict, int]:
     return fields, max(*weights, abs(degree))
 
 
-def _cmd_hilbert_series(args) -> dict:
+def _cmd_hilbert_series(args) -> tuple[dict, int | None]:
     weights = _parse_weights(args.weights)
     max_degree = _parse_int(args.max_degree, "max_degree")
     if max_degree < 0:
@@ -469,10 +477,10 @@ def _cmd_hilbert_series(args) -> dict:
         "weights": weights,
         "max_degree": max_degree,
         "series": series,
-    }
+    }, None
 
 
-def _cmd_ample_check(args) -> dict:
+def _cmd_ample_check(args) -> tuple[dict, int | None]:
     weights = _parse_weights(args.weights)
     degree = _parse_int(args.degree, "degree")
     faithful, offender = wps_mod.is_faithful(weights, degree)
@@ -490,22 +498,17 @@ def _cmd_ample_check(args) -> dict:
         "det_ample": wps_mod.is_det_ample(weights, degree),
         "h_ample": wps_mod.is_h_ample(weights, degree),
         "descent_modulus": wps_mod.descent_modulus(weights),
-    }
+    }, None
 
 
-def _cmd_embed(args) -> tuple[dict, int]:
+def _cmd_embed(args) -> tuple[dict, int | None]:
     weights = _parse_weights(args.weights)
     degree = _parse_int(args.degree, "degree")
     data = embed_mod.find_embedding_data(weights, degree)
-    # Exponents of block m have weighted degree (N + m) * dprime, so with
-    # positive weights none exceeds (N + m0) * dprime; nor does dprime, m0,
-    # N, a target weight or a twist tried.  N * dprime is a multiple of the
-    # descent modulus, which every weight divides, and the normality
-    # degrees are below the number of weights.
-    return _document_from_data(data), max((data.N + data.m0) * data.dprime, len(weights))
+    return _document_from_data(data)
 
 
-def _cmd_verify(args) -> dict:
+def _cmd_verify(args) -> tuple[dict, int | None]:
     data = _data_from_document(_load_document(args.data))
     report = embed_mod.verify_immersion(data)
     return {
@@ -524,10 +527,10 @@ def _cmd_verify(args) -> dict:
             }
             for s in report.strata
         ],
-    }
+    }, None
 
 
-def _cmd_recover(args) -> dict:
+def _cmd_recover(args) -> tuple[dict, int | None]:
     data = _data_from_document(_load_document(args.data))
     report = embed_mod.recover_data(data)
     return {
@@ -537,7 +540,7 @@ def _cmd_recover(args) -> dict:
         "V1": report.V1,
         "V2": report.V2_blocks,
         "matches": report.matches,
-    }
+    }, None
 
 
 def _action_from_args(args) -> git_mod.CharacterAction:
@@ -551,17 +554,17 @@ def _action_from_args(args) -> git_mod.CharacterAction:
     return git_mod.CharacterAction(matrix, chi)
 
 
-def _cmd_stable_locus(args) -> dict:
+def _cmd_stable_locus(args) -> tuple[dict, int | None]:
     act = _action_from_args(args)
     locus = git_mod.stable_locus(act)
     return {
         "matrix": act.matrix.entries,
         "chi": act.character,
         "minimal_supports": locus.minimal_stable_supports,
-    }
+    }, None
 
 
-def _cmd_proj(args) -> dict:
+def _cmd_proj(args) -> tuple[dict, int | None]:
     act = _action_from_args(args)
     presentation = git_mod.proj_presentation(act, certify_degree=_env_degree_bound())
     basis = presentation.basis
@@ -581,10 +584,10 @@ def _cmd_proj(args) -> dict:
         "pointed": basis.pointed,
         "certified_degree": basis.certified_degree,
         "minimal_stable_supports": presentation.locus.minimal_stable_supports,
-    }
+    }, None
 
 
-def _cmd_morphism_check(args) -> dict:
+def _cmd_morphism_check(args) -> tuple[dict, int | None]:
     weights = _parse_weights(args.weights)
     degree = _parse_int(args.degree, "degree")
     if degree < 1:
@@ -605,7 +608,7 @@ def _cmd_morphism_check(args) -> dict:
         "polynomial_target": report.polynomial_target,
         "base_locus": report.base_locus,
         "lands_in_stable": report.lands_in_stable,
-    }
+    }, None
 
 
 def _selftest_checks():
@@ -670,12 +673,12 @@ def _selftest_checks():
         )
 
     def check_determinism():
-        first = emit(_document_from_data(embed_mod.find_embedding_data((1, 3), 1)))
-        second = emit(_document_from_data(embed_mod.find_embedding_data((1, 3), 1)))
+        first = emit(*_document_from_data(embed_mod.find_embedding_data((1, 3), 1)))
+        second = emit(*_document_from_data(embed_mod.find_embedding_data((1, 3), 1)))
         if first != second:
             return False
         reparsed = _data_from_document(json.loads(first))
-        return emit(_document_from_data(reparsed)) == first
+        return emit(*_document_from_data(reparsed)) == first
 
     return [
         ("embed reproduces the reference example", check_embed),
@@ -689,7 +692,7 @@ def _selftest_checks():
     ]
 
 
-def _cmd_selftest(args) -> dict:
+def _cmd_selftest(args) -> tuple[dict, int | None]:
     results = []
     passed = True
     for name, check in _selftest_checks():
@@ -699,7 +702,7 @@ def _cmd_selftest(args) -> dict:
             ok = False
         results.append({"name": name, "ok": ok})
         passed = passed and ok
-    return {"checks": results, "passed": passed}
+    return {"checks": results, "passed": passed}, None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -785,9 +788,7 @@ def _write(text: str, code: int) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        result = args.handler(args)
-        # sections and embed return their fields with a bound on every int in them.
-        fields, bound = result if isinstance(result, tuple) else (result, None)
+        fields, bound = args.handler(args)
         document = {"schema": 1, "command": args.command, **fields}
         text = emit(document, bound)
     except DomainError as err:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
-from operator import and_, mod, mul, rshift, sub
+from operator import and_, mul, rshift, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InfiniteSolutionSet, InvariantViolation
@@ -455,11 +455,22 @@ def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], b
     rise = [det * weight[j] - _dot(v, pivot_weight) for j, v in zip(free, moved)]
     keys: list[int] = []
     if free:
-        # On the last free column every t with u - t v = 0 mod det lies
-        # in one class mod step, looked up by u mod det.
+        # On the last free column the t with u - t v = 0 mod det form one
+        # class mod step, solved row by row: with t fixed mod m by the
+        # rows before, row i asks s * (m v_i) = u_i - t v_i mod det of
+        # the next digit s, which has a solution iff g = gcd(m v_i, det)
+        # divides the right side, and then one mod det // g.  The plan
+        # depends on v and det only, so each line costs a few int
+        # operations per row, however large det is.
         v, slope = moved[-1], rise[-1]
         step = det // gcd(det, *v)
-        classes = {tuple(t * vi % det for vi in v): t for t in range(step)}
+        solve = []
+        m = 1
+        for vi in v if det > 1 else ():
+            g = gcd(m * vi, det)
+            n_i = det // g
+            solve.append((vi, g, pow(m * vi // g, -1, n_i) if n_i > 1 else 0, n_i, m))
+            m *= n_i
 
     def last(u: Vec, hi: int, scaled: int) -> None:
         lo = 0
@@ -470,9 +481,12 @@ def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], b
                 lo = max(lo, -(ui // -vi))
             elif ui < 0:
                 return
-        t = classes.get(tuple(map(mod, u, itertools.repeat(det))))
-        if t is None:
-            return
+        t = 0
+        for ui, (vi, g, inv, n_i, m) in zip(u, solve):
+            d = ui - t * vi
+            if d % g:
+                return
+            t += (d // g * inv % n_i) * m
         t = lo + (t - lo) % step
         if t > hi:
             return

@@ -191,6 +191,29 @@ def test_sections_and_embed_bound_every_int_they_print():
         assert cli.emit(document, bound) == canonical_json(document)
 
 
+def test_every_other_handler_gives_no_bound(tmp_path):
+    # Only sections and embed know a bound; every other document keeps the scan.
+    path = tmp_path / "embed.json"
+    path.write_text(cli.emit(*bounded_document(["embed", "--weights", "1,3", "--degree", "1"])))
+    argvs = [
+        ["hilbert-series", "--weights", "1,3", "--max-degree", "6"],
+        ["ample-check", "--weights", "2,1152921504606846977", "--degree", "1"],
+        ["verify", "--data", str(path)],
+        ["recover", "--data", str(path)],
+        ["stable-locus", "--matrix", "1,3", "--chi", "1"],
+        ["proj", "--matrix", "1,3", "--chi", "1"],
+        ["morphism-check", "--weights", "1,3", "--degree", "3", "--sections", "3,0:1;0,1:1"],
+        ["selftest"],
+    ]
+    commands = set()
+    for argv in argvs:
+        document, bound = bounded_document(argv)
+        assert bound is None, argv
+        commands.add(document["command"])
+    subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert commands | {"sections", "embed"} == set(subcommands)
+
+
 # ---------------------------------------------------------------------------
 # decoder
 

@@ -6,6 +6,7 @@ through tests.oracles, which shares no code with the package.
 
 import dataclasses
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from itertools import product
@@ -497,6 +498,125 @@ def test_graded_sections_order_on_seeded_multi_row_pieces():
         all_pivot=100, all_pivot_nonempty=50, deficient=180, deficient_nonempty=80, large=12
     )
     assert all(counts[case] >= floor for case, floor in minimum.items()), counts
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # Pivots (2, 0) and (0, 3), det 6; the free column moves the
+        # residual by (9, 8) in pivot coordinates, so the first row fixes
+        # its exponent mod 2 and the second, given that, mod 3.
+        ((2, 0, 3), (0, 3, 4)),
+        ((2, 0, 3, 5), (0, 3, 4, 1)),
+        # Three rows, det 30 split over 2, 3 and 5.
+        ((2, 0, 0, 15), (0, 3, 0, 10), (0, 0, 5, 6)),
+    ],
+)
+def test_graded_sections_residue_solved_across_rows(rows):
+    rng = random.Random(1619)
+    cols = list(zip(*rows))
+    nonempty = 0
+    for _ in range(150):
+        e = [rng.randint(0, 4) for _ in cols]
+        target = [sum(c[i] * x for c, x in zip(cols, e)) for i in range(len(rows))]
+        if rng.random() < 0.5:
+            target[rng.randrange(len(rows))] += rng.randint(1, 5)
+        got = graded_sections(W(*rows), target, 1).basis
+        # Every entry is nonnegative, so each row caps the exponents it meets.
+        bounds = [min(t // a for t, a in zip(target, c) if a) for c in cols]
+        expected = oracles.grlex_sorted(oracles.box_solutions(rows, target, bounds))
+        assert list(got) == expected, target
+        nonempty += bool(got)
+    assert nonempty >= 75
+
+
+def large_det_pieces():
+    """Check graded pieces whose smallest pivot minor is past 10**9.
+
+    The answers come from exact Cramer solves over a box of the other
+    two exponents.
+    """
+    p, q = 10**9 + 7, 10**9 + 9
+    cases = [
+        ((p, q), 1, ()),
+        ((p, q), p * q, ((q, 0), (0, p))),
+        ((p, q), p * q + p + q, ((q + 1, 1), (1, p + 1))),
+    ]
+    for weights, degree, expected in cases:
+        assert graded_sections(W(weights), (1,), degree).basis == expected
+    # Two rows: every column is (a, p c + d) with a, c, d small, so a
+    # 2 x 2 minor is p (a c' - a' c) plus a small remainder; pieces where
+    # every minor is past 10**9 are kept.
+    rng = random.Random(1618)
+    nonempty = checked = 0
+    while checked < 40:
+        cols = [(rng.randint(1, 3), p * rng.randint(1, 3) + rng.randint(-3, 3)) for _ in range(4)]
+        minors = [abs(a[0] * b[1] - a[1] * b[0]) for a, b in itertools.combinations(cols, 2)]
+        if min(minors) < 10**9:
+            continue
+        checked += 1
+        e = [rng.randint(0, 3) for _ in range(4)]
+        target = tuple(sum(c[i] * x for c, x in zip(cols, e)) for i in range(2))
+        if rng.random() < 0.3:
+            target = (target[0], target[1] + rng.randint(1, 3))
+        expected = []
+        (a0, b0), (a1, b1) = cols[:2]
+        det = a0 * b1 - a1 * b0
+        for rest in product(*(range(target[0] // c[0] + 1) for c in cols[2:])):
+            r0 = target[0] - cols[2][0] * rest[0] - cols[3][0] * rest[1]
+            r1 = target[1] - cols[2][1] * rest[0] - cols[3][1] * rest[1]
+            x0 = Fraction(r0 * b1 - r1 * a1, det)
+            x1 = Fraction(a0 * r1 - b0 * r0, det)
+            if x0.denominator == x1.denominator == 1 and x0 >= 0 and x1 >= 0:
+                expected.append((int(x0), int(x1), *rest))
+        got = graded_sections(W(*zip(*cols)), target, 1).basis
+        assert list(got) == oracles.grlex_sorted(expected), (cols, target)
+        nonempty += bool(got)
+    assert nonempty >= 20
+
+
+def run_limited(argv):
+    """Run argv in a fresh interpreter under a 1 GiB address-space limit.
+
+    A regression that tabulates residues up to the pivot minor needs
+    gigabytes here; the limit turns that into a failed run instead of
+    memory taken from the rest of the machine.
+    """
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    paths = [str(repo / "src"), str(repo), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit,
+        timeout=120,
+    )
+
+
+def test_graded_sections_with_large_pivot_minors():
+    done = run_limited(["-c", "from tests.test_lattice import large_det_pieces; large_det_pieces()"])
+    assert (done.returncode, done.stderr) == (0, "")
+    argv = ["sections", "--weights", "1000000007,1000000009", "--degree", "1"]
+    done = run_limited(["-m", "orbistack.cli", *argv])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0,
+        '{"schema":1,"command":"sections","weights":[1000000007,1000000009],'
+        '"degree":1,"basis":[]}\n',
+        "",
+    )
 
 
 def test_graded_sections_empty_and_infinite():
