@@ -6,12 +6,10 @@ ordered, so identical jobs produce identical bytes.  Integers beyond the
 53-bit safe range are emitted as decimal strings: every such integer has
 at least 16 digits, so `emit` prints a document with one `json.dumps`
 and copies it with those integers as strings only when that text holds a
-run of 16 ASCII digits.  Every handler returns its fields with a bound
-on every int in them, or None; `sections` and `embed` know one, and
-when it is within the safe range `emit` skips that scan.  Documents
-read back are checked array by array in bulk, and only an array that
-fails the bulk check is decoded entry by entry to name the offending
-path.  Exit codes: 0 success, 1 domain
+run of 16 ASCII digits, found by mapping every digit to 0 with one
+`str.translate`.  Documents read back are checked array by array in
+bulk, and only an array that fails the bulk check is decoded entry by
+entry to name the offending path.  Exit codes: 0 success, 1 domain
 failure (machine-readable error object on stdout), 2 malformed input;
 a reader that closes stdout early also gets 1, with nothing on stderr.
 """
@@ -23,7 +21,6 @@ import functools
 import itertools
 import json
 import os
-import re
 import sys
 
 from .errors import DomainError, SchemaViolation
@@ -34,8 +31,9 @@ from . import wps as wps_mod
 
 SAFE_MAX = 2**53 - 1
 
-# Every int past SAFE_MAX prints with at least 16 digits.
-_SIXTEEN_DIGITS = re.compile("[0-9]{16}")
+# Every int past SAFE_MAX prints with at least 16 digits, so with every
+# digit mapped to 0 its text holds sixteen zeros in a row.
+_ZERO_DIGITS = str.maketrans("123456789", "000000000")
 
 SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
@@ -67,7 +65,7 @@ def _encode(value, path: str = "$"):
     raise TypeError(f"cannot serialize {value!r}")
 
 
-def emit(document, bound: int | None = None) -> str:
+def emit(document) -> str:
     """The canonical text of document: compact JSON, ints past SAFE_MAX as strings.
 
     One json.dumps pass prints it at C speed.  An int past SAFE_MAX has
@@ -75,16 +73,16 @@ def emit(document, bound: int | None = None) -> str:
     digits (such an int, or a safe 16-digit int, or digits in a string)
     is the document printed again from its _encode copy.  So is a
     document json.dumps refuses: one holding an int past the digit
-    limit fails there as a SchemaViolation naming its member.  A caller
-    that knows bound >= |x| for every int x in document, with bound at
-    most SAFE_MAX, skips the scan: that text is already canonical.
+    limit fails there as a SchemaViolation naming its member.  The run
+    is found at C speed too: with 1-9 mapped to 0 by one translate, it
+    is a run of sixteen zeros.
     """
     try:
         text = json.dumps(document, separators=(",", ":"), allow_nan=False)
     except (TypeError, ValueError):
         pass
     else:
-        if (bound is not None and bound <= SAFE_MAX) or _SIXTEEN_DIGITS.search(text) is None:
+        if "0" * 16 not in text.translate(_ZERO_DIGITS):
             return text
     return json.dumps(_encode(document), separators=(",", ":"))
 
@@ -163,17 +161,16 @@ def _env_degree_bound() -> int | None:
         return None
     path = "env.ORBISTACK_DEGREE_BOUND"
     message = "ORBISTACK_DEGREE_BOUND must be a positive integer"
-    bound = _parse_int(raw, path, message)
-    if bound < 1:
+    degree = _parse_int(raw, path, message)
+    if degree < 1:
         raise SchemaViolation(message, path=path, value=raw)
-    return bound
+    return degree
 
 
 # ---------------------------------------------------------------------------
 # document construction
 
-def _document_from_data(data: embed_mod.EmbeddingData) -> tuple[dict, int]:
-    """The embed document of data, and a bound on every int in it."""
+def _document_from_data(data: embed_mod.EmbeddingData) -> dict:
     doc = {
         "weights": data.source.weights,
         "dprime": data.dprime,
@@ -184,8 +181,6 @@ def _document_from_data(data: embed_mod.EmbeddingData) -> tuple[dict, int]:
         "target_weights": data.target_weights,
         "coordinates": data.coordinates,
     }
-    ints = [data.dprime, data.m0, data.N, max(data.source.weights)]
-    ints.append(max(data.target_weights, default=0))
     cert = data.certification
     if cert is not None:
         doc["certification"] = {
@@ -195,10 +190,7 @@ def _document_from_data(data: embed_mod.EmbeddingData) -> tuple[dict, int]:
             "normality_degrees_checked": cert.normality_degrees_checked,
             "assumption": cert.assumption,
         }
-        ints += [cert.descent_modulus, *cert.candidates_tried, *cert.normality_degrees_checked]
-    # A monomial of V1 or of block m has weighted degree (N + m) * dprime
-    # and the weights are positive, so no exponent exceeds (N + m0) * dprime.
-    return doc, max(*map(abs, ints), abs((data.N + data.m0) * data.dprime))
+    return doc
 
 
 def _want(doc: dict, key: str, path: str, kind: type = object, what: str = ""):
@@ -453,19 +445,16 @@ def _pretty_lines(doc: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (fields, bound), with bound >= |x| for
-# every int x in fields, or None when it knows no such bound.
+# command handlers: each returns the fields of its document
 
-def _cmd_sections(args) -> tuple[dict, int | None]:
+def _cmd_sections(args) -> dict:
     weights = _parse_weights(args.weights)
     degree = _parse_int(args.degree, "degree")
     basis = wps_mod.section_basis(weights, degree)
-    fields = {"weights": weights, "degree": degree, "basis": basis.basis}
-    # Weights are positive, so no exponent exceeds the degree.
-    return fields, max(*weights, abs(degree))
+    return {"weights": weights, "degree": degree, "basis": basis.basis}
 
 
-def _cmd_hilbert_series(args) -> tuple[dict, int | None]:
+def _cmd_hilbert_series(args) -> dict:
     weights = _parse_weights(args.weights)
     max_degree = _parse_int(args.max_degree, "max_degree")
     if max_degree < 0:
@@ -477,10 +466,10 @@ def _cmd_hilbert_series(args) -> tuple[dict, int | None]:
         "weights": weights,
         "max_degree": max_degree,
         "series": series,
-    }, None
+    }
 
 
-def _cmd_ample_check(args) -> tuple[dict, int | None]:
+def _cmd_ample_check(args) -> dict:
     weights = _parse_weights(args.weights)
     degree = _parse_int(args.degree, "degree")
     faithful, offender = wps_mod.is_faithful(weights, degree)
@@ -498,17 +487,17 @@ def _cmd_ample_check(args) -> tuple[dict, int | None]:
         "det_ample": wps_mod.is_det_ample(weights, degree),
         "h_ample": wps_mod.is_h_ample(weights, degree),
         "descent_modulus": wps_mod.descent_modulus(weights),
-    }, None
+    }
 
 
-def _cmd_embed(args) -> tuple[dict, int | None]:
+def _cmd_embed(args) -> dict:
     weights = _parse_weights(args.weights)
     degree = _parse_int(args.degree, "degree")
     data = embed_mod.find_embedding_data(weights, degree)
     return _document_from_data(data)
 
 
-def _cmd_verify(args) -> tuple[dict, int | None]:
+def _cmd_verify(args) -> dict:
     data = _data_from_document(_load_document(args.data))
     report = embed_mod.verify_immersion(data)
     return {
@@ -527,10 +516,10 @@ def _cmd_verify(args) -> tuple[dict, int | None]:
             }
             for s in report.strata
         ],
-    }, None
+    }
 
 
-def _cmd_recover(args) -> tuple[dict, int | None]:
+def _cmd_recover(args) -> dict:
     data = _data_from_document(_load_document(args.data))
     report = embed_mod.recover_data(data)
     return {
@@ -540,7 +529,7 @@ def _cmd_recover(args) -> tuple[dict, int | None]:
         "V1": report.V1,
         "V2": report.V2_blocks,
         "matches": report.matches,
-    }, None
+    }
 
 
 def _action_from_args(args) -> git_mod.CharacterAction:
@@ -554,17 +543,17 @@ def _action_from_args(args) -> git_mod.CharacterAction:
     return git_mod.CharacterAction(matrix, chi)
 
 
-def _cmd_stable_locus(args) -> tuple[dict, int | None]:
+def _cmd_stable_locus(args) -> dict:
     act = _action_from_args(args)
     locus = git_mod.stable_locus(act)
     return {
         "matrix": act.matrix.entries,
         "chi": act.character,
         "minimal_supports": locus.minimal_stable_supports,
-    }, None
+    }
 
 
-def _cmd_proj(args) -> tuple[dict, int | None]:
+def _cmd_proj(args) -> dict:
     act = _action_from_args(args)
     presentation = git_mod.proj_presentation(act, certify_degree=_env_degree_bound())
     basis = presentation.basis
@@ -584,10 +573,10 @@ def _cmd_proj(args) -> tuple[dict, int | None]:
         "pointed": basis.pointed,
         "certified_degree": basis.certified_degree,
         "minimal_stable_supports": presentation.locus.minimal_stable_supports,
-    }, None
+    }
 
 
-def _cmd_morphism_check(args) -> tuple[dict, int | None]:
+def _cmd_morphism_check(args) -> dict:
     weights = _parse_weights(args.weights)
     degree = _parse_int(args.degree, "degree")
     if degree < 1:
@@ -608,7 +597,7 @@ def _cmd_morphism_check(args) -> tuple[dict, int | None]:
         "polynomial_target": report.polynomial_target,
         "base_locus": report.base_locus,
         "lands_in_stable": report.lands_in_stable,
-    }, None
+    }
 
 
 def _selftest_checks():
@@ -673,12 +662,12 @@ def _selftest_checks():
         )
 
     def check_determinism():
-        first = emit(*_document_from_data(embed_mod.find_embedding_data((1, 3), 1)))
-        second = emit(*_document_from_data(embed_mod.find_embedding_data((1, 3), 1)))
+        first = emit(_document_from_data(embed_mod.find_embedding_data((1, 3), 1)))
+        second = emit(_document_from_data(embed_mod.find_embedding_data((1, 3), 1)))
         if first != second:
             return False
         reparsed = _data_from_document(json.loads(first))
-        return emit(*_document_from_data(reparsed)) == first
+        return emit(_document_from_data(reparsed)) == first
 
     return [
         ("embed reproduces the reference example", check_embed),
@@ -692,7 +681,7 @@ def _selftest_checks():
     ]
 
 
-def _cmd_selftest(args) -> tuple[dict, int | None]:
+def _cmd_selftest(args) -> dict:
     results = []
     passed = True
     for name, check in _selftest_checks():
@@ -702,7 +691,7 @@ def _cmd_selftest(args) -> tuple[dict, int | None]:
             ok = False
         results.append({"name": name, "ok": ok})
         passed = passed and ok
-    return {"checks": results, "passed": passed}, None
+    return {"checks": results, "passed": passed}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -788,9 +777,8 @@ def _write(text: str, code: int) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        fields, bound = args.handler(args)
-        document = {"schema": 1, "command": args.command, **fields}
-        text = emit(document, bound)
+        document = {"schema": 1, "command": args.command, **args.handler(args)}
+        text = emit(document)
     except DomainError as err:
         code = 2 if isinstance(err, SchemaViolation) else 1
         try:

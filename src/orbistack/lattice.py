@@ -77,9 +77,9 @@ class IntMatrix:
     def __post_init__(self):
         if self.cols < 1:
             raise ValueError("need at least one column")
-        for row in self.entries:
-            _as_vec(row, self.cols, "matrix row")
-        columns = tuple(zip(*self.entries)) if self.entries else ((),) * self.cols
+        entries = tuple(_as_vec(row, self.cols, "matrix row") for row in self.entries)
+        columns = tuple(zip(*entries)) if entries else ((),) * self.cols
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_columns", columns)
 
     @classmethod
@@ -610,28 +610,6 @@ def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tupl
     return sort_monomials(x for group in minimals.values() for x in group)
 
 
-def _recession_direction(W: IntMatrix) -> Vec:
-    """A nonzero u >= 0 with W u = 0; caller guarantees existence."""
-    mins = minimal_homogeneous_solutions(W.entries, W.cols)
-    if not mins:
-        raise InvariantViolation(
-            "no recession direction found", matrix=[list(r) for r in W.entries]
-        )
-    return mins[0]
-
-
-def _piece_nonempty(W: IntMatrix, target: Vec) -> bool:
-    """Is {e >= 0 : W e = target} nonempty?  Exact, via minimal solutions.
-
-    A solution with scaling coordinate 1 in the homogenized system
-    [W | -target] decomposes into minimal solutions whose scaling parts
-    sum to 1, so nonemptiness shows up in the minimal solutions.
-    """
-    aug = [W.entries[i] + (-target[i],) for i in range(W.k)]
-    mins = minimal_homogeneous_solutions(aug, W.cols + 1)
-    return any(s[-1] == 1 for s in mins)
-
-
 def graded_sections(W: IntMatrix, chi: Sequence[int], m: int) -> GradedSolutionSet:
     """The graded piece {e >= 0 : W e = m chi}, fully enumerated.
 
@@ -650,13 +628,19 @@ def graded_sections(W: IntMatrix, chi: Sequence[int], m: int) -> GradedSolutionS
     cols = W.columns()
     lam = positive_functional(cols, W.k)
     if lam is None:
-        if _piece_nonempty(W, target):
-            raise InfiniteSolutionSet(
-                "graded piece is infinite",
-                degree=m,
-                recession=list(_recession_direction(W)),
+        # A point of the piece is a solution of [W | -target] with last
+        # entry 1, a sum of minimal ones, one of which ends in 1; the
+        # minimal ones ending in 0 are the minimal recession directions.
+        aug = [W.entries[i] + (-target[i],) for i in range(W.k)]
+        mins = minimal_homogeneous_solutions(aug, W.cols + 1)
+        if not any(s[-1] == 1 for s in mins):
+            return GradedSolutionSet(m, ())
+        recession = next((s[:-1] for s in mins if s[-1] == 0), None)
+        if recession is None:
+            raise InvariantViolation(
+                "no recession direction found", matrix=[list(r) for r in W.entries]
             )
-        return GradedSolutionSet(m, ())
+        raise InfiniteSolutionSet("graded piece is infinite", degree=m, recession=list(recession))
     budget = _dot(lam, target)
     if budget < 0:
         return GradedSolutionSet(m, ())

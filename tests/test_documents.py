@@ -1,20 +1,21 @@
 """Document text in and out: the encoder's boundaries and the decoder's errors.
 
 `cli.emit` prints a document by one compact `json.dumps` and falls back
-to the two-pass encoder only for ints past the safe range or past the
-digit limit; `oracles.canonical_json` is that two-pass rule on its own,
-and the two must agree byte for byte, also when the caller passes a
-bound on the document's ints that lets `emit` skip its digit scan, as
-the `sections` and `embed` handlers do.  `verify` and `recover` decode
-embed documents by bulk checks with a path-tracking fallback; over
-seeded mutated documents their exit codes and stdout are pinned by one
-digest, taken before the bulk checks existed.
+to the two-pass encoder only when that text holds a run of 16 digits,
+found by mapping 1-9 to 0 and looking for sixteen zeros, or when an int
+passes the digit limit; `oracles.canonical_json` is that two-pass rule
+on its own, and the two must agree byte for byte, also for every
+command that can print an int past the safe range.  `verify` and
+`recover` decode embed documents by bulk checks with a path-tracking
+fallback; over seeded mutated documents their exit codes and stdout are
+pinned by one digest, taken before the bulk checks existed.
 """
 
 import copy
 import hashlib
 import io
 import json
+import math
 import operator
 import random
 import re
@@ -23,7 +24,7 @@ import sys
 import pytest
 
 from orbistack import cli
-from orbistack.errors import DomainError, SchemaViolation
+from orbistack.errors import SchemaViolation
 from tests.oracles import SAFE_MAX, canonical_json
 from tests.test_cli import EMBED_P13, VERIFY_P13
 
@@ -118,38 +119,45 @@ def test_emit_names_the_member_holding_an_int_past_the_digit_limit():
 
 
 # ---------------------------------------------------------------------------
-# bounded documents
+# the digit scan and large ints
 
 
-def int_bound(value) -> int:
-    """The largest |x| over the ints x in value, 0 when it holds none."""
-    if isinstance(value, int):
-        return abs(value)
-    if isinstance(value, (list, tuple)):
-        return max(map(int_bound, value), default=0)
-    if isinstance(value, dict):
-        return max(map(int_bound, value.values()), default=0)
-    return 0
+R16 = "9876543210123456"
+R15 = R16[:15]
+DIGIT_RUN_EDGES = (
+    [run + tail for run in (R15, R16) for tail in ("", "x")]
+    + ["ab" + run + tail for run in (R15, R16) for tail in ("", "y")]
+    + [R16[:8] + sep + R16[8:] for sep in "-,.e\""]
+    + [R15 + sep + "7" for sep in "-,.e\""]
+    + ["\u0661" * 16, "²" * 16, "0" * 16, "0" * 15 + "-0"]
+)
+DIGIT_RUN_DOCUMENTS = [
+    10**15, 10**15 - 1, -(10**15), 2**53, [10**15, 1], [1, 10**14], {R16: 1}, {R15: [R15]},
+    *DIGIT_RUN_EDGES,
+    *([edge] for edge in DIGIT_RUN_EDGES),
+]
 
 
-def test_emit_with_the_true_bound_agrees_on_seeded_documents():
-    skipped = 0
-    for document in seeded_documents():
-        bound = int_bound(document)
-        text = cli.emit(document, bound)
-        assert text == cli.emit(document)
-        # A 16-digit run the scan would have copied the document for.
-        skipped += bound <= SAFE_MAX and re.search("[0-9]{16}", text) is not None
-    assert skipped > 500
-
-
-def test_emit_scans_when_the_bound_passes_the_safe_range():
-    assert cli.emit({"x": [2**53]}, 2**53) == '{"x":["9007199254740992"]}'
-    assert cli.emit({"x": [SAFE_MAX]}, SAFE_MAX) == '{"x":[9007199254740991]}'
+def test_the_digit_scan_finds_exactly_the_runs_of_sixteen_digits(monkeypatch):
+    # emit copies a document with _encode exactly when its scan finds a run.
+    copies = []
+    encode = cli._encode
+    monkeypatch.setattr(
+        cli, "_encode", lambda value, path="$": copies.append(path) or encode(value, path)
+    )
+    runs = 0
+    documents = [*seeded_documents(), *DIGIT_RUN_DOCUMENTS]
+    for document in documents:
+        text = json.dumps(document, separators=(",", ":"))
+        copies.clear()
+        assert cli.emit(document) == canonical_json(document)
+        expected = re.search("[0-9]{16}", text) is not None
+        assert bool(copies) == expected, text
+        runs += expected
+    assert 200 < runs < len(documents) - 200
 
 
 def test_sections_past_the_safe_range_keep_their_bytes(capsys):
-    # The handler's bound is the degree itself, past SAFE_MAX: emit scans.
     code, out = run(capsys, ["sections", "--weights", "1", "--degree", "9007199254740993"])
     assert code == 0
     assert out == (
@@ -158,60 +166,39 @@ def test_sections_past_the_safe_range_keep_their_bytes(capsys):
     )
 
 
-def bounded_document(argv):
-    """The document main prints for argv, and the bound its handler gives."""
-    args = cli.build_parser().parse_args(argv)
-    fields, bound = args.handler(args)
-    return {"schema": 1, "command": args.command, **fields}, bound
+def test_hilbert_series_past_the_safe_range_matches_the_two_pass_encoder(capsys):
+    # Ten unit weights: the piece of degree d has C(d + 9, 9) monomials.
+    argv = ["hilbert-series", "--weights", ",".join(["1"] * 10), "--max-degree", "320"]
+    code, out = run(capsys, argv)
+    series = [math.comb(d + 9, 9) for d in range(321)]
+    assert code == 0 and series[-1] > SAFE_MAX
+    assert out == canonical_json({
+        "schema": 1, "command": "hilbert-series", "weights": [1] * 10, "max_degree": 320,
+        "series": series,
+    }) + "\n"
+    assert ',"89051382289283480",' in out
 
 
-def test_sections_and_embed_bound_every_int_they_print():
-    rng = random.Random(1616)
-    for _ in range(120):
-        weights = ",".join(str(rng.randint(1, 7)) for _ in range(rng.randint(1, 5)))
-        document, bound = bounded_document(
-            ["sections", "--weights", weights, f"--degree={rng.randint(-3, 60)}"]
-        )
-        assert int_bound(document) <= bound <= SAFE_MAX
-        assert cli.emit(document, bound) == canonical_json(document)
-    # Unit weights first: their normality degrees pass (N + m0) * dprime.
-    jobs = [(",".join(["1"] * n), 1) for n in (5, 6)]
-    embedded = 0
-    while embedded < 40:
-        weights, degree = jobs.pop() if jobs else (
-            ",".join(str(rng.randint(1, 6)) for _ in range(rng.randint(1, 4))),
-            rng.randint(1, 3),
-        )
-        try:
-            document, bound = bounded_document(["embed", "--weights", weights, f"--degree={degree}"])
-        except DomainError:
-            continue
-        embedded += 1
-        assert int_bound(document) <= bound <= SAFE_MAX
-        assert cli.emit(document, bound) == canonical_json(document)
-
-
-def test_every_other_handler_gives_no_bound(tmp_path):
-    # Only sections and embed know a bound; every other document keeps the scan.
-    path = tmp_path / "embed.json"
-    path.write_text(cli.emit(*bounded_document(["embed", "--weights", "1,3", "--degree", "1"])))
-    argvs = [
-        ["hilbert-series", "--weights", "1,3", "--max-degree", "6"],
-        ["ample-check", "--weights", "2,1152921504606846977", "--degree", "1"],
-        ["verify", "--data", str(path)],
-        ["recover", "--data", str(path)],
-        ["stable-locus", "--matrix", "1,3", "--chi", "1"],
-        ["proj", "--matrix", "1,3", "--chi", "1"],
-        ["morphism-check", "--weights", "1,3", "--degree", "3", "--sections", "3,0:1;0,1:1"],
-        ["selftest"],
-    ]
-    commands = set()
-    for argv in argvs:
-        document, bound = bounded_document(argv)
-        assert bound is None, argv
-        commands.add(document["command"])
-    subcommands = cli.build_parser()._subparsers._group_actions[0].choices
-    assert commands | {"sections", "embed"} == set(subcommands)
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["ample-check", "--weights", "2,1152921504606846977", "--degree", "1"],
+         '{"schema":1,"command":"ample-check","weights":[2,"1152921504606846977"],"degree":1,'
+         '"faithful":true,"witness":null,"det_ample":true,"h_ample":true,'
+         '"descent_modulus":"2305843009213693954"}'),
+        (["stable-locus", "--matrix=9007199254740993,1", "--chi=1"],
+         '{"schema":1,"command":"stable-locus","matrix":[["9007199254740993",1]],"chi":[1],'
+         '"minimal_supports":[[1],[2]]}'),
+        (["morphism-check", "--weights", "1,9007199254740993", "--degree", "1",
+          "--sections", "1,0:1"],
+         '{"schema":1,"command":"morphism-check","weights":[1,"9007199254740993"],"dprime":1,'
+         '"sections":[{"monomial":[1,0],"weight":1}],"well_defined":true,'
+         '"polynomial_target":true,"base_locus":[[1]],"lands_in_stable":false}'),
+    ],
+    ids=["ample-check", "stable-locus", "morphism-check"],
+)
+def test_ints_past_the_safe_range_keep_their_bytes(capsys, argv, text):
+    assert run(capsys, argv) == (0, text + "\n")
 
 
 # ---------------------------------------------------------------------------

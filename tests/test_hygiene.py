@@ -4,13 +4,17 @@ No module of the package keeps an import it never uses (``__init__``
 re-exports on purpose), no module sorts with a Python key per monomial
 (``grlex_key`` is the tests' oracle of the canonical order, which
 graded pieces come out in and ``sort_monomials`` puts any other list
-in), and the CLI's schema tag is built in one place.
+in), the CLI's schema tag is built in one place, and every source and
+test file parses as the oldest Python that pyproject.toml allows.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orbistack"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "orbistack"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -84,3 +88,18 @@ def test_the_schema_tag_is_built_once():
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     tags = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == "schema"]
     assert len(tags) == 1
+
+
+def test_every_file_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10.
+    files = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    assert len(files) >= 20
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_syntax_past_python_3_10_is_flagged():
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(newer)
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=(3, 10))

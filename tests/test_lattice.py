@@ -15,6 +15,7 @@ from math import gcd
 import pytest
 
 from orbistack import (
+    CharacterAction,
     InfiniteSolutionSet,
     IntMatrix,
     InvariantViolation,
@@ -30,6 +31,7 @@ from orbistack import (
     minimal_homogeneous_solutions,
     positive_functional,
     primitive,
+    proj_presentation,
     sort_monomials,
 )
 from orbistack import lattice
@@ -633,6 +635,29 @@ def test_graded_sections_empty_and_infinite():
         graded_sections(skew, (1,), -1)
 
 
+def test_infinite_pieces_name_the_first_minimal_recession_direction():
+    # The witness is the first minimal solution of W u = 0, u >= 0, in
+    # grlex_key order, also where there are several to choose from.
+    assert minimal_homogeneous_solutions([(1, -1, -2)], 3) == ((2, 0, 1), (1, 1, 0))
+    with pytest.raises(InfiniteSolutionSet) as exc:
+        graded_sections(W((1, -1, -2)), (1,), 1)
+    assert exc.value.witness == {"degree": 1, "recession": [2, 0, 1]}
+    rng = random.Random(1717)
+    several = 0
+    while several < 40:
+        k, n = rng.randint(1, 2), rng.randint(2, 4)
+        mat = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)])
+        if positive_functional(mat.columns(), k) is not None:
+            continue
+        chi = tuple(rng.randint(-2, 2) for _ in range(k))
+        try:
+            graded_sections(mat, chi, rng.randint(0, 3))
+        except InfiniteSolutionSet as exc:
+            mins = minimal_homogeneous_solutions(mat.entries, n)
+            assert exc.witness["recession"] == list(mins[0])
+            several += len(mins) > 1
+
+
 def test_hilbert_basis_frozen():
     basis = hilbert_basis(W((1, 3)), (1,))
     assert basis.generators == (((1, 0), 1), ((0, 1), 3))
@@ -769,6 +794,14 @@ def test_intmatrix_validation():
         with pytest.raises(ValueError):
             IntMatrix.from_rows(rows)
     assert IntMatrix.from_rows([[1, 3], (2, 4)]) == IntMatrix(((1, 3), (2, 4)), 2)
+    # Rows given as lists are stored as tuples, so the matrix hashes and
+    # its rows extend by a tuple.
+    listed = IntMatrix(([1, 3],), 2)
+    assert listed == IntMatrix.from_rows([[1, 3]]) and listed.entries == ((1, 3),)
+    assert hash(listed) == hash(IntMatrix.from_rows([[1, 3]]))
+    degrees = [c.degree for c in proj_presentation(CharacterAction(listed, (1,))).charts]
+    assert degrees == [1, 3]
+    assert hilbert_basis(listed, (1,)).generators == (((1, 0), 1), ((0, 1), 3))
     mat = W((1, 3))
     assert mat.k == 1 and mat.cols == 2
     assert mat.column(1) == (3,)
