@@ -9,15 +9,18 @@ and copies it with those integers as strings only when that text holds a
 run of 16 ASCII digits, found by mapping every digit to 0 with one
 `str.translate`.  Documents read back are checked array by array in
 bulk, and only an array that fails the bulk check is decoded entry by
-entry to name the offending path.  Exit codes: 0 success, 1 domain
-failure (machine-readable error object on stdout), 2 malformed input;
-a reader that closes stdout early also gets 1, with nothing on stderr.
+entry to name the offending path; the decoded data is marked so that
+structure validation does not check those types again.  Exit codes: 0
+success, 1 domain failure (machine-readable error object on stdout), 2
+malformed input; a reader that closes stdout early also gets 1, with
+nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import os
@@ -317,7 +320,7 @@ def _data_from_document(doc) -> embed_mod.EmbeddingData:
     certification = None
     if "certification" in doc:
         certification = _certification_from_document(doc)
-    return embed_mod.EmbeddingData(
+    data = embed_mod.EmbeddingData(
         source=source,
         dprime=dprime,
         m0=m0,
@@ -328,6 +331,7 @@ def _data_from_document(doc) -> embed_mod.EmbeddingData:
         coordinates=coordinates,
         certification=certification,
     )
+    return embed_mod._record_typed(data)
 
 
 def _certification_from_document(doc: dict) -> embed_mod.Certification:
@@ -348,18 +352,38 @@ def _certification_from_document(doc: dict) -> embed_mod.Certification:
 
 
 def _load_document(arg: str) -> dict:
-    if arg == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(arg, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as err:
-            raise SchemaViolation(f"cannot read data file: {err}", path="$") from err
+    """The JSON document in the file arg names, or on stdin for "-".
+
+    Text that is not UTF-8 is not JSON either, whichever way it came.
+    """
     try:
+        if arg == "-":
+            text = sys.stdin.read()
+        else:
+            try:
+                with open(arg, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except OSError as err:
+                raise SchemaViolation(f"cannot read data file: {err}", path="$") from err
         return json.loads(text)
     except (ValueError, RecursionError) as err:
         raise SchemaViolation(f"invalid JSON: {err}", path="$") from err
+
+
+def _check_document(arg: str, check):
+    """check(data) for the embedding document arg names, with the cyclic collector paused.
+
+    A decoded document is millions of acyclic containers, and every full
+    collection while it is read and checked would walk them all again.
+    The collector's previous state comes back however the check ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return check(_data_from_document(_load_document(arg)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +522,7 @@ def _cmd_embed(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    data = _data_from_document(_load_document(args.data))
-    report = embed_mod.verify_immersion(data)
+    report = _check_document(args.data, embed_mod.verify_immersion)
     return {
         "verdict": report.verdict,
         "certified_via": report.certified_via,
@@ -520,8 +543,7 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_recover(args) -> dict:
-    data = _data_from_document(_load_document(args.data))
-    report = embed_mod.recover_data(data)
+    report = _check_document(args.data, embed_mod.recover_data)
     return {
         "dprime": report.dprime,
         "N": report.N,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from operator import add, eq, gt, itemgetter, mul, or_
+from operator import add, contains, eq, gt, is_, itemgetter, mul, or_, sub
 from typing import Sequence
 
 from .errors import (
@@ -292,8 +292,31 @@ def find_embedding_data(a, dprime: int) -> EmbeddingData:
     )
 
 
+def _typed_parts(data: EmbeddingData) -> tuple:
+    return (data.source, data.V1, data.V2_blocks, data.coordinates, data.target_weights)
+
+
+def _record_typed(data: EmbeddingData) -> EmbeddingData:
+    """data, marked as built by a decoder that checked the types of its parts.
+
+    The caller vouches that every monomial of V1, the blocks and
+    coordinates is a tuple of non-negative ints of the source's width, and
+    that every target weight is an int.  The mark holds the very objects
+    vouched for, and _is_typed trusts it only while data still holds them,
+    so a dataclasses.replace copy (which never carries the mark) or data
+    whose parts were swapped afterwards is validated in full.
+    """
+    object.__setattr__(data, "_typed", _typed_parts(data))
+    return data
+
+
+def _is_typed(data: EmbeddingData) -> bool:
+    record = getattr(data, "_typed", None)
+    return record is not None and all(map(is_, record, _typed_parts(data)))
+
+
 def _plain_monomials(group, width: int) -> bool:
-    """Are all of group's monomials int tuples of length width, >= 0, not constant?
+    """Are all of group's monomials int tuples of length width, >= 0?
 
     Checked in bulk; when this fails, the per-monomial loop of
     _validate_structure finds the first offender, or accepts bools.
@@ -301,7 +324,7 @@ def _plain_monomials(group, width: int) -> bool:
     if not (set(map(type, group)) <= {tuple} and set(map(len, group)) <= {width}):
         return False
     flat = list(itertools.chain.from_iterable(group))
-    return set(map(type, flat)) <= {int} and min(flat, default=0) >= 0 and all(map(any, group))
+    return set(map(type, flat)) <= {int} and min(flat, default=0) >= 0
 
 
 def _validate_structure(data: EmbeddingData) -> None:
@@ -309,7 +332,9 @@ def _validate_structure(data: EmbeddingData) -> None:
 
     Deliberately does not tie monomial degrees or weights to data.N, so
     bookkeeping inconsistencies surface as verification or recovery
-    failures with their own named errors.
+    failures with their own named errors.  Data marked by _record_typed
+    skips the type, length and sign checks its decoder made, and gets the
+    same errors otherwise.
     """
     if not isinstance(data.source, WeightSystem):
         raise InvalidEmbeddingData("source must be a WeightSystem")
@@ -346,13 +371,14 @@ def _validate_structure(data: EmbeddingData) -> None:
     if not data.V1:
         raise InvalidEmbeddingData("V1 must be nonempty")
 
+    typed = _is_typed(data)
     groups = [("V1", data.V1)] + [
         (f"V2[{m}]", block) for m, block in enumerate(data.V2_blocks, start=1)
     ]
     for name, group in groups:
         if not isinstance(group, tuple):
             raise InvalidEmbeddingData(f"{name} must be a tuple")
-        if not _plain_monomials(group, width):
+        if not (typed or _plain_monomials(group, width)):
             for v in group:
                 if not isinstance(v, tuple):
                     raise InvalidEmbeddingData(f"{name} monomial must be a tuple")
@@ -366,12 +392,18 @@ def _validate_structure(data: EmbeddingData) -> None:
                     )
                 if not any(v):
                     raise InvalidEmbeddingData(f"{name} contains the constant monomial")
+        # The exponents are now non-negative ints, so a monomial is
+        # constant exactly when its total degree is 0.
+        totals = list(map(sum, group))
+        if 0 in totals:
+            raise InvalidEmbeddingData(f"{name} contains the constant monomial")
         # Canonical and duplicate-free is strictly decreasing in (degree, lex).
-        keyed = list(zip(map(sum, group), group))
+        keyed = list(zip(totals, group))
         if not all(map(gt, keyed, keyed[1:])):
             raise InvalidEmbeddingData(f"{name} is not in canonical order")
 
-    if data.coordinates != data.V1 + data.V2:
+    layout, offsets = _layout(data.V1, data.V2_blocks, 0)
+    if data.coordinates != layout:
         raise InvalidEmbeddingData("coordinates must be V1 followed by the V2 blocks")
     if len(data.target_weights) != len(data.coordinates):
         raise InvalidEmbeddingData(
@@ -379,10 +411,11 @@ def _validate_structure(data: EmbeddingData) -> None:
             coordinates=len(data.coordinates),
             weights=len(data.target_weights),
         )
-    if any(not isinstance(x, int) or x < 1 for x in data.target_weights):
+    weights = data.target_weights
+    plain = (typed or set(map(type, weights)) <= {int}) and min(weights) >= 1
+    if not plain and any(not isinstance(x, int) or x < 1 for x in weights):
         raise InvalidEmbeddingData("target weights must be positive integers")
-    _, expected = _layout(data.V1, data.V2_blocks, data.target_weights[0])
-    if tuple(data.target_weights) != expected:
+    if tuple(map(sub, weights, itertools.repeat(weights[0]))) != offsets:
         raise InvalidEmbeddingData(
             "target weights must be constant on V1 and offset by the block degree"
         )
@@ -457,8 +490,15 @@ def _check_chart_generation(data: EmbeddingData) -> tuple[ChartCheck, ...]:
 
 
 def _fits(data: EmbeddingData, dprime: int) -> list[bool]:
-    """Does a.v = dprime * w hold, for each coordinate v of target weight w?"""
-    degrees = map(_dot, itertools.repeat(data.source.weights), data.coordinates)
+    """Does a.v = dprime * w hold, for each coordinate v of target weight w?
+
+    The weighted degrees a.v come from one lockstep pass of C-level maps,
+    one term a_j * v[j] per weight, with no Python call per coordinate.
+    """
+    degrees = None
+    for j, aj in enumerate(data.source.weights):
+        term = map(mul, itertools.repeat(aj), map(itemgetter(j), data.coordinates))
+        degrees = term if degrees is None else map(add, degrees, term)
     return list(map(eq, degrees, map(mul, itertools.repeat(dprime), data.target_weights)))
 
 
@@ -511,28 +551,35 @@ def _check_stratum_separation(data: EmbeddingData) -> tuple[StratumCheck, ...]:
 
     a.v = d'w is checked once for the whole document; for a coordinate
     inside S, a.v is a_S.v.  Only coordinates with a zero exponent lie in
-    a proper stratum, so only they get a support mask.
+    a proper stratum, so only they get a support mask, and they are
+    grouped by it.
     """
     a = data.source.weights
-    pairs = list(zip(data.target_weights, data.coordinates))
+    weights, coordinates = data.target_weights, data.coordinates
     settled = all(_fits(data, data.dprime))
     bits = [1 << j for j in range(len(a))]
-    masks = {t: sum(itertools.compress(bits, v)) for t, v in enumerate(data.coordinates) if 0 in v}
+    has_zero = map(contains, coordinates, itertools.repeat(0))
+    by_mask: dict[int, list[int]] = {}
+    for t in itertools.compress(range(len(coordinates)), has_zero):
+        by_mask.setdefault(sum(itertools.compress(bits, coordinates[t])), []).append(t)
     reports = []
     for stratum in strata(data.source):
         s, g_s = stratum.support, stratum.stabilizer_order
         if len(s) == len(a):
-            members = pairs
+            member_weights, members = weights, zip(weights, coordinates)
         else:
             s_mask = sum(bits[j] for j in s)
-            members = [pairs[t] for t, mask in masks.items() if mask | s_mask == s_mask]
-        if not members:
+            inside = (ts for mask, ts in by_mask.items() if mask | s_mask == s_mask)
+            ts = sorted(itertools.chain.from_iterable(inside))
+            member_weights = [weights[t] for t in ts]
+            members = zip(member_weights, map(coordinates.__getitem__, ts))
+        if not member_weights:
             raise StabilizerNotPreserved(
                 "no coordinate is supported inside the stratum",
                 support=list(s),
                 index=None,
             )
-        weight_gcd = gcd(*map(itemgetter(0), members))
+        weight_gcd = gcd(*member_weights)
         if weight_gcd != g_s:
             raise StabilizerNotPreserved(
                 "coordinate weights do not realize the stabilizer order",

@@ -331,6 +331,25 @@ def test_unreadable_and_invalid_documents_exit_2(capsys, monkeypatch):
     assert doc["witness"]["path"] == "$"
 
 
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+@pytest.mark.parametrize("command", ["verify", "recover"])
+def test_a_document_that_is_not_utf8_exits_2(capsys, tmp_path, monkeypatch, command, errors):
+    # A file is read as strict UTF-8; stdin decodes with the locale's error
+    # handler, surrogateescape under a C or POSIX locale.  Either way the
+    # bytes are not JSON, and one document says so at $.
+    raw = bytes.fromhex("fffe7b7d")
+    path = tmp_path / "data.json"
+    path.write_bytes(raw)
+    stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors=errors)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    for source in [str(path), "-"]:
+        code, out = run(capsys, [command, "--data", source])
+        assert code == 2
+        doc = schema_violation(out)
+        assert doc["message"].startswith("invalid JSON:")
+        assert doc["witness"] == {"path": "$"}
+
+
 def test_degree_bound_env_override(capsys, monkeypatch):
     monkeypatch.setenv("ORBISTACK_DEGREE_BOUND", "20")
     code, out = run(capsys, ["proj", "--matrix", "1,3", "--chi", "1"])

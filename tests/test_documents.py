@@ -12,6 +12,8 @@ pinned by one digest, taken before the bulk checks existed.
 """
 
 import copy
+import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -23,7 +25,7 @@ import sys
 
 import pytest
 
-from orbistack import cli
+from orbistack import cli, embed
 from orbistack.errors import SchemaViolation
 from tests.oracles import SAFE_MAX, canonical_json
 from tests.test_cli import EMBED_P13, VERIFY_P13
@@ -433,6 +435,162 @@ def test_coordinates_equal_to_the_layout_are_decoded_once():
     data = cli._data_from_document(json.loads(EMBED_P13))
     assert data.coordinates == data.V1 + data.V2
     assert all(map(operator.is_, data.coordinates, data.V1 + data.V2))
+
+
+# ---------------------------------------------------------------------------
+# verify and recover check each decoded fact once
+
+
+def outcome(check, data):
+    """What check(data) returns, or the type, message and witness it raises."""
+    try:
+        return check(data)
+    except Exception as err:
+        return type(err).__name__, str(err), getattr(err, "witness", None)
+
+
+def spoilt_block_order(data):
+    blocks = data.V2_blocks
+    return {"V2_blocks": blocks[:-1] + (tuple(reversed(blocks[-1])),)}
+
+
+# Changes to the (1,3) embedding data; each is invalid data.
+SPOILERS = {
+    "list monomial": lambda data: {"V1": (data.V1[0], list(data.V1[1]))},
+    # (True, 0) has total degree 1, below the 2 of the (1, 1) after it.
+    "bool exponent": lambda data: {"V2_blocks": (((True, 0), (1, 1)),) + data.V2_blocks[1:]},
+    "negative exponent": lambda data: {"V1": (data.V1[0], (-1, 1))},
+    "block out of canonical order": spoilt_block_order,
+}
+
+
+@pytest.mark.parametrize("check", [embed.verify_immersion, embed.recover_data])
+@pytest.mark.parametrize("spoil", SPOILERS.values(), ids=SPOILERS.keys())
+def test_decoded_data_is_trusted_only_as_decoded(check, spoil):
+    # The decoder's type checks are not carried onto altered data: a
+    # dataclasses.replace copy of a decoded document, or the decoded data
+    # itself with a part swapped in place, fails exactly as the same change
+    # to find_embedding_data output does.
+    decoded = cli._data_from_document(json.loads(EMBED_P13))
+    found = embed.find_embedding_data((1, 3), 1)
+    assert outcome(check, decoded) == outcome(check, found)
+    expected = outcome(check, dataclasses.replace(found, **spoil(found)))
+    assert expected[0] == "InvalidEmbeddingData"
+    assert outcome(check, dataclasses.replace(decoded, **spoil(decoded))) == expected
+    for name, value in spoil(decoded).items():
+        object.__setattr__(decoded, name, value)
+    assert outcome(check, decoded) == expected
+
+
+class CountingTuple(tuple):
+    """A tuple that counts the items its iterators yield, over all instances."""
+
+    yielded = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            CountingTuple.yielded += 1
+            yield item
+
+
+def counted(data):
+    """data with V1, each block and the coordinates as CountingTuples."""
+    return dataclasses.replace(
+        data,
+        V1=CountingTuple(data.V1),
+        V2_blocks=tuple(map(CountingTuple, data.V2_blocks)),
+        coordinates=CountingTuple(data.coordinates),
+    )
+
+
+def passes(check, data):
+    """Full passes check(data) makes over the coordinates, V1 and the blocks."""
+    CountingTuple.yielded = 0
+    check(data)
+    return CountingTuple.yielded / len(data.coordinates)
+
+
+CHECKS = {"verify": "verify_immersion", "recover": "recover_data"}
+
+# On decoded data, structure validation makes 2 passes per group (total
+# degrees, then canonical order) and 1 over the blocks laying them out;
+# the weighted degrees take one lockstep pass per weight.  That is all of
+# recover.  verify adds 1 for the chart check (V1's off-supports, the
+# block sets), 1 finding the coordinates with a zero exponent, and part
+# of one for the full stratum, whose rows stop once they fill its lattice.
+PASS_BOUNDS = {"verify": 8.5, "recover": 6}
+
+
+@pytest.mark.parametrize("command", ["verify", "recover"])
+def test_verify_and_recover_pass_over_the_decoded_monomials_a_bounded_number_of_times(
+    capsys, monkeypatch, command
+):
+    text = json.dumps(embed_document(capsys, "2,3,5"))
+    expected = run_on(capsys, monkeypatch, command, text)
+    check = getattr(embed, CHECKS[command])
+    record = embed._record_typed
+    seen = []
+
+    def counting_check(data):
+        seen.append(passes(check, data))
+        return check(data)
+
+    monkeypatch.setattr(embed, "_record_typed", lambda data: record(counted(data)))
+    monkeypatch.setattr(embed, CHECKS[command], counting_check)
+    assert run_on(capsys, monkeypatch, command, text) == expected
+    assert 0 < seen[0] <= PASS_BOUNDS[command]
+    # A Python caller's data gets the type checks as well, in 3 more passes.
+    found = counted(embed.find_embedding_data((2, 3, 5), 1))
+    assert passes(check, found) == pytest.approx(seen[0] + 3)
+
+
+def drop_top_power(text):
+    """The (1,3) document without y^2, the pure power of its heaviest variable."""
+    doc = json.loads(text)
+    doc["V2"][-1].remove([0, 2])
+    doc["coordinates"].remove([0, 2])
+    doc["target_weights"].pop()
+    return json.dumps(doc)
+
+
+def forge_twist(text):
+    doc = json.loads(text)
+    doc["N"] *= 2
+    return json.dumps(doc)
+
+
+COLLECTOR_CASES = [
+    ("verify", EMBED_P13, 0, None),
+    ("recover", EMBED_P13, 0, None),
+    ("verify", drop_top_power(EMBED_P13), 1, "ChartGenerationFailed"),
+    ("recover", forge_twist(EMBED_P13), 1, "RoundTripMismatch"),
+    ("verify", "{not json", 2, "SchemaViolation"),
+    ("recover", "{not json", 2, "SchemaViolation"),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize(
+    "command,text,code,error", COLLECTOR_CASES, ids=[f"{c[0]} {c[3]}" for c in COLLECTOR_CASES]
+)
+def test_the_collector_is_paused_over_a_document_and_restored(
+    capsys, monkeypatch, enabled, command, text, code, error
+):
+    check = getattr(embed, CHECKS[command])
+    during = []
+    monkeypatch.setattr(
+        embed, CHECKS[command], lambda data: during.append(gc.isenabled()) or check(data)
+    )
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        got, out = run_on(capsys, monkeypatch, command, text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert got == code
+    assert json.loads(out).get("error") == error
+    assert during == ([] if code == 2 else [False])
 
 
 # ---------------------------------------------------------------------------
