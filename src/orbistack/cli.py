@@ -80,14 +80,17 @@ def emit(document) -> str:
     is found at C speed too: with 1-9 mapped to 0 by one translate, it
     is a run of sixteen zeros.
     """
+    # Handlers and payload() build every document as a fresh tree, and so
+    # does _encode, so no document holds a cycle and neither dumps keeps
+    # the encoder's marker for each container it enters.
     try:
-        text = json.dumps(document, separators=(",", ":"), allow_nan=False)
+        text = json.dumps(document, separators=(",", ":"), allow_nan=False, check_circular=False)
     except (TypeError, ValueError):
         pass
     else:
         if "0" * 16 not in text.translate(_ZERO_DIGITS):
             return text
-    return json.dumps(_encode(document), separators=(",", ":"))
+    return json.dumps(_encode(document), separators=(",", ":"), check_circular=False)
 
 
 def _parse_int(text: str, path: str, message: str | None = None) -> int:

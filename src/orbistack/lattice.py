@@ -428,21 +428,30 @@ def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], b
     the columns has no solution, and for any other target a solution of
     the pivot rows solves them all.
 
-    Points are found as keys.  No exponent exceeds budget // min(costs),
-    so each fits in ``bits`` bits, and
-    key(e) = sum_j e_j * (2**(bits*n) + 2**(bits*(n-1-j))),
-    the total degree followed by the exponents as bits-wide digits, is
+    Points are found as keys.  No exponent, and not the total degree
+    either, exceeds budget // min(costs), so each fits in a field of
+    ``size`` bits: the smallest of 8, 16, 32 or 64 that holds it, or just
+    as many bits past 64.  Then
+    key(e) = sum_j e_j * (2**(size*n) + 2**(size*(n-1-j))),
+    the total degree followed by the exponents as size-bit fields, is
     injective and sorts exactly as grlex_key in reverse.  The key is
     affine in the exponents, so each line is one range of keys; the keys
-    are sorted once as ints and their digits read back as the points.
+    are sorted once as ints and their fields read back as the points.
+    With fields of at most 64 bits they are read back a machine word at
+    a time: word i of every key goes into one array("Q"), the keys are
+    freed, and each exponent is a strided view of its word's array with
+    one item per field.  Where a field sits inside a word is read off one
+    probe word, so either byte order works.
     """
     rows, pivots, adj, det = _pivot_plan(tuple(cols))
     if len(rows) < len(target) and _rank_cached(tuple(cols) + (target,)) > len(rows):
         return ()
     n = len(cols)
     bits = (budget // min(costs)).bit_length()
-    shifts = [bits * (n - 1 - j) for j in range(n)]
-    weight = [(1 << bits * n) + (1 << s) for s in shifts]
+    width = next((w for w in (1, 2, 4, 8) if bits <= 8 * w), 0)
+    size = 8 * width or bits
+    shifts = [size * (n - 1 - j) for j in range(n)]
+    weight = [(1 << size * n) + (1 << s) for s in shifts]
     # The cheapest column, with the widest range, goes last, where its
     # range is computed rather than enumerated.
     free = sorted((j for j in range(n) if j not in pivots), key=lambda j: -costs[j])
@@ -511,20 +520,36 @@ def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], b
         # Every column is a pivot, in order.
         keys.append(_dot(start, pivot_weight) // det)
     keys.sort(reverse=True)
-    mask = (1 << bits) - 1
-    digits = [
-        map(and_, map(rshift, keys, itertools.repeat(s)), itertools.repeat(mask)) for s in shifts
-    ]
-    if bits <= 64:
-        # Exponents go through arrays so that the keys are freed before
-        # any point is built: points built while the keys live share
-        # their memory pools and keep them from the system afterwards.
-        # array is imported here to keep it out of the CLI's start-up.
-        from array import array
+    if not width:
+        mask = (1 << size) - 1
+        digits = [map(and_, map(rshift, keys, itertools.repeat(s)), itertools.repeat(mask)) for s in shifts]
+        return tuple(zip(*digits))
+    # The exponents go through arrays so that the keys are freed before
+    # any point is built: points built while the keys live share their
+    # memory pools and keep them from the system afterwards.  array is
+    # imported here to keep it out of the CLI's start-up.
+    from array import array
 
-        digits = [array("Q", d) for d in digits]
-        keys.clear()
-    return tuple(zip(*digits))
+    per_word = 8 // width
+    code = next(c for c in "BHILQ" if array(c).itemsize == width)
+
+    def fields(words):
+        return memoryview(words).cast("B").cast(code)
+
+    at = fields(array("Q", [sum(f << size * f for f in range(per_word))])).tolist()
+    if size * (n + 1) <= 64:
+        words = [array("Q", keys)]
+    else:
+        word = (1 << 64) - 1
+        words = [
+            array("Q", map(and_, map(rshift, keys, itertools.repeat(64 * i)), itertools.repeat(word)))
+            for i in range(-(-n // per_word))
+        ]
+    keys.clear()
+    views = [fields(w) for w in words]
+    # Exponent j is field n-1-j, counted from the low end of the key.
+    columns = [views[f // per_word][at.index(f % per_word)::per_word] for f in range(n - 1, -1, -1)]
+    return tuple(zip(*columns))
 
 
 def _dominates(x: Sequence[int], found: Iterable[Sequence[int]]) -> bool:
@@ -641,10 +666,14 @@ def graded_sections(W: IntMatrix, chi: Sequence[int], m: int) -> GradedSolutionS
                 "no recession direction found", matrix=[list(r) for r in W.entries]
             )
         raise InfiniteSolutionSet("graded piece is infinite", degree=m, recession=list(recession))
-    budget = _dot(lam, target)
+    # Any functional positive on every column boxes the piece; lam can be
+    # nearly orthogonal to a column, so a row of W that is positive on
+    # every column may box it far tighter.  The smallest bound wins.
+    boxes = [(_dot(lam, target), [_dot(lam, c) for c in cols])]
+    boxes += [(t, list(row)) for t, row in zip(target, W.entries) if min(row) > 0]
+    budget, costs = min(boxes, key=lambda box: box[0] // min(box[1]))
     if budget < 0:
         return GradedSolutionSet(m, ())
-    costs = [_dot(lam, c) for c in cols]
     return GradedSolutionSet(m, _bounded_solutions(cols, target, costs, budget))
 
 

@@ -4,11 +4,15 @@ No module of the package keeps an import it never uses (``__init__``
 re-exports on purpose), no module sorts with a Python key per monomial
 (``grlex_key`` is the tests' oracle of the canonical order, which
 graded pieces come out in and ``sort_monomials`` puts any other list
-in), the CLI's schema tag is built in one place, and every source and
-test file parses as the oldest Python that pyproject.toml allows.
+in), the CLI's schema tag is built in one place, every source and
+test file parses as the oldest Python that pyproject.toml allows, and
+importing the CLI leaves ``array`` unloaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +107,13 @@ def test_syntax_past_python_3_10_is_flagged():
     ast.parse(newer)
     with pytest.raises(SyntaxError):
         ast.parse(newer, feature_version=(3, 10))
+
+
+def test_cli_start_up_leaves_array_unimported():
+    # lattice imports array inside the one function that reads graded
+    # pieces back, so a CLI run that never enumerates one does not load it.
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys, orbistack, orbistack.cli; print('array' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

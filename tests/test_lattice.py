@@ -441,6 +441,92 @@ def test_graded_sections_order_past_64_bit_keys():
     assert graded_sections(W((3, 2**70)), (1,), 3 * 2**70).basis == ((2**70, 0), (0, 3))
 
 
+# One positive row with a weight of 1, so every exponent and the total
+# degree are bounded by the degree: its bit length picks the field width
+# (1, 2, 4 or 8 bytes, or None past 64 bits) and the key holds n + 1
+# fields.  Large weights come first so that the oracle's recursion stays
+# short.
+READBACK_PIECES = [
+    ((3, 1, 1), 255),
+    ((3, 1, 1), 256),
+    ((40, 50, 60, 70, 80, 90, 1), 255),
+    ((40, 50, 60, 70, 80, 90, 100, 1), 255),
+    ((20000, 30000, 40000, 50000, 1), 65535),
+    ((8000, 9000, 10000, 11000, 12000, 13000, 14000, 15000, 1), 65535),
+    ((1,), 65536),
+    ((1, 1), 65536),
+    ((2**31, 2**31 + 1, 3 * 2**30, 2**32 - 2, 1), 2**32 - 1),
+    ((1,), 2**32),
+    ((2**32 - 1, 1), 2**32),
+    ((2**63, 2**63 + 1, 1), 2**64 - 1),
+    ((2**64 - 1, 1), 2**64),
+]
+
+
+def readback_layout(weights, degree):
+    """(field width in bytes or None, 64-bit words per key) of a piece."""
+    bits = degree.bit_length()
+    width = next((w for w in (1, 2, 4, 8) if bits <= 8 * w), None)
+    return width, -(-(len(weights) + 1) * 8 * (width or 0) // 64) or None
+
+
+def test_readback_pieces_cover_every_field_width_and_key_length():
+    layouts = [readback_layout(w, d) for w, d in READBACK_PIECES]
+    assert {width for width, _ in layouts} == {1, 2, 4, 8, None}
+    assert {words for _, words in layouts} >= {1, 2, 3}
+    assert {(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3), (8, 2)} <= set(layouts)
+    # Seven and eight columns at width 1: records of 8 and 9 fields.
+    assert {len(w) for w, d in READBACK_PIECES if readback_layout(w, d)[0] == 1} >= {7, 8}
+    exponents = {
+        x for w, d in READBACK_PIECES for e in oracles.monomials_of_degree(w, d) for x in e
+    }
+    for edge in (2**8, 2**16, 2**32, 2**64):
+        assert {edge - 1, edge} <= exponents
+
+
+@pytest.mark.parametrize("weights,degree", READBACK_PIECES)
+def test_graded_sections_read_back_at_every_field_width(weights, degree):
+    got = graded_sections(W(weights), (1,), degree).basis
+    assert list(got) == oracles.grlex_sorted(oracles.monomials_of_degree(weights, degree))
+    assert got and all(type(x) is int for e in got[:3] + got[-3:] for x in e)
+
+
+def test_graded_sections_read_back_literal_bases():
+    assert graded_sections(W((1,)), (1,), 2**64 - 1).basis == ((2**64 - 1,),)
+    assert graded_sections(W((1,)), (1,), 2**64).basis == ((2**64,),)
+    # Eight columns at width 1: the top byte of every exponent word is
+    # used, and the total degree is in a word of its own.
+    assert graded_sections(W((1,) + (200,) * 7), (1,), 255).basis == (
+        (255, 0, 0, 0, 0, 0, 0, 0),
+        *((55, *(int(i == j) for i in range(7))) for j in range(7)),
+    )
+
+
+def test_graded_sections_box_by_the_tightest_functional():
+    # Nearly parallel columns: positive_functional's lambda is almost
+    # orthogonal to some of them and would box each exponent by about
+    # 9 * 10**9, while the first row, positive on every column, boxes
+    # them by 15.
+    rows = (
+        (1000000005, 2000000013, 2000000011, 2000000012),
+        (1000000005, 3000000023, 3000000022, 2000000014),
+    )
+    target = (15000000086, 18000000124)
+    assert positive_functional(tuple(zip(*rows)), 2) == (3000000021, -2000000010)
+    # A fresh interpreter, so that a box of 9 * 10**9 fails on the
+    # subprocess timeout instead of hanging the suite.
+    done = run_limited(["-c", (
+        "import time; from orbistack import IntMatrix, graded_sections\n"
+        f"start = time.perf_counter(); got = graded_sections(IntMatrix.from_rows({rows}), {target}, 1)\n"
+        "print(time.perf_counter() - start, got.basis)"
+    )])
+    assert done.stderr == ""
+    seconds, got = done.stdout.split(" ", 1)
+    assert float(seconds) < 1
+    assert got.strip() == "((3, 1, 2, 3),)"
+    assert oracles.box_solutions(rows, target, [15] * 4) == [(3, 1, 2, 3)]
+
+
 @pytest.mark.parametrize(
     "rows,target,expected",
     [
