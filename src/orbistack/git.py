@@ -11,20 +11,21 @@ rank-and-cone condition on (W, chi, S).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
 from .errors import NotPolynomial
 from .lattice import (
+    BOUNDARY,
+    OUTSIDE,
     IntMatrix,
     SemigroupBasis,
     Vec,
     _as_vec,
+    _cone_witness,
     _dot,
+    _facets,
     _minimal_supports,
     _neg,
-    _quotient_line,
     hilbert_basis,
     integer_kernel,
 )
@@ -34,6 +35,7 @@ NOT_STABLE = "NotStable"
 STABILIZER_INFINITE = "StabilizerInfinite"
 CHI_OUTSIDE_CONE = "ChiOutsideCone"
 CHI_ON_BOUNDARY = "ChiOnBoundary"
+_REASONS = {OUTSIDE: CHI_OUTSIDE_CONE, BOUNDARY: CHI_ON_BOUNDARY}
 
 
 @dataclass(frozen=True)
@@ -110,71 +112,6 @@ def _normalize_support(support: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(sorted(set(s)))
 
 
-@lru_cache(maxsize=1024)
-def _sign_table(columns: tuple[Vec, ...]) -> dict:
-    """Hyperplane sign masks of an action, filled by _facets on first use.
-
-    Keys are (k - 1)-subsets T of 1-based column indices; the value is
-    None when T has rank < k - 1, else (lam_T, pos, neg) with lam_T the
-    primitive normal of span(T) and pos, neg the bitmasks (bit j for
-    column j) of the columns where lam_T is positive or negative.  The
-    character plays no part, so every chi on the same matrix shares it.
-    """
-    return {}
-
-
-@lru_cache(maxsize=65536)
-def _facets(columns: tuple[Vec, ...], s: tuple[int, ...], k: int) -> tuple[Vec, ...] | None:
-    """Sorted inward facet normals of cone(S) when S spans Q^k, else None.
-
-    A facet F of a full-dimensional cone(S) is a face, so it is the cone
-    over the columns of S it contains; it has dimension k - 1, so those
-    columns include k - 1 independent ones T, span(F) = span(T) and the
-    inward normal of F is +-lam_T.  Conversely, when S spans, a lam_T
-    with T in S that takes one sign on S cuts out a face containing T,
-    which is a facet.  S spans exactly when some lam_T with T in S is
-    nonzero on S; when S does not span, span(T) = span(S) for every T
-    in S of rank k - 1, so the first such T decides.  This is the set
-    lattice.dual_cone_generators builds for a full-rank S.
-    """
-    table = _sign_table(columns)
-    mask = 0
-    for i in s:
-        mask |= 1 << i
-    facets = set()
-    spans = False
-    for t in combinations(s, k - 1):
-        try:
-            row = table[t]
-        except KeyError:
-            row = table[t] = _hyperplane(columns, t, k)
-        if row is None:
-            continue
-        lam, pos, neg = row
-        if not mask & (pos | neg):
-            return None
-        spans = True
-        if not mask & neg:
-            facets.add(lam)
-        elif not mask & pos:
-            facets.add(_neg(lam))
-    return tuple(sorted(facets)) if spans else None
-
-
-def _hyperplane(columns: tuple[Vec, ...], t: tuple[int, ...], k: int) -> tuple[Vec, int, int] | None:
-    lam = _quotient_line(tuple(columns[i - 1] for i in t), (), k)
-    if lam is None:
-        return None
-    pos = neg = 0
-    for j, c in enumerate(columns, 1):
-        v = _dot(lam, c)
-        if v > 0:
-            pos |= 1 << j
-        elif v < 0:
-            neg |= 1 << j
-    return lam, pos, neg
-
-
 def is_stable_support(act: CharacterAction, support: Iterable[int]) -> StabilityCertificate:
     """Stability of points whose nonvanishing coordinates are exactly the support.
 
@@ -184,14 +121,10 @@ def is_stable_support(act: CharacterAction, support: Iterable[int]) -> Stability
     nonvanishing there and the lifted orbit is closed).  Supports are
     1-based.
 
-    The cone is read off the action's hyperplane sign table: for every
-    k - 1 columns T of rank k - 1, the normal lam_T of span(T) and the
-    columns where it is positive or negative.  S spans when some lam_T
-    with T in S is nonzero on S, and then the inward facet normals of
-    cone(S) are the lam_T (up to sign) that take one sign on S (see
-    _facets).  The first facet normal, in sorted order, that is negative
-    on chi is the ChiOutsideCone witness; failing that, the first that
-    vanishes on chi is the ChiOnBoundary witness.
+    The facets of cone(S) are read off the action's hyperplane sign
+    table (lattice._facets).  The first facet normal, in sorted order,
+    negative on chi is the ChiOutsideCone witness; failing that, the
+    first vanishing on chi is the ChiOnBoundary witness.
     """
     s = _normalize_support(support, act.matrix.cols)
     k = act.matrix.k
@@ -206,16 +139,11 @@ def is_stable_support(act: CharacterAction, support: Iterable[int]) -> Stability
         if _dot(lam, act.character) > 0:
             lam = _neg(lam)
         return StabilityCertificate(NOT_STABLE, STABILIZER_INFINITE, lam)
-    boundary = None
-    for lam in facets:
-        val = _dot(lam, act.character)
-        if val < 0:
-            return StabilityCertificate(NOT_STABLE, CHI_OUTSIDE_CONE, lam)
-        if val == 0 and boundary is None:
-            boundary = lam
-    if boundary is not None:
-        return StabilityCertificate(NOT_STABLE, CHI_ON_BOUNDARY, boundary)
-    return StabilityCertificate(STABLE)
+    # A facet of cone(S) is nonzero on some column of S, hence of the action.
+    position, witness = _cone_witness(facets, act.character, columns)
+    if witness is None:
+        return StabilityCertificate(STABLE)
+    return StabilityCertificate(NOT_STABLE, _REASONS[position], witness)
 
 
 def stable_locus(act: CharacterAction) -> StableLocus:

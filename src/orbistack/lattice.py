@@ -257,27 +257,94 @@ def _quotient_line(t_rows: tuple[Vec, ...], lin: tuple[Vec, ...], k: int) -> Vec
     return None
 
 
+@lru_cache(maxsize=1024)
+def _sign_table(columns: tuple[Vec, ...]) -> dict:
+    """Hyperplane sign masks of a column tuple, filled by _facets on first use.
+
+    Keys are (k - 1)-subsets T of 1-based column indices; the value is
+    None when T has rank < k - 1, else (lam_T, pos, neg) with lam_T the
+    primitive normal of span(T) and pos, neg the bitmasks (bit j for
+    column j) of the columns where lam_T is positive or negative, shared
+    by every subset of the columns and every character on the matrix.
+    """
+    return {}
+
+
 @lru_cache(maxsize=65536)
-def _dual_cone_generators_cached(columns: tuple[Vec, ...], k: int) -> tuple[Vec, ...]:
+def _facets(columns: tuple[Vec, ...], s: tuple[int, ...], k: int) -> tuple[Vec, ...] | None:
+    """Sorted inward facet normals of cone(S) when S spans Q^k, else None.
+
+    S holds 1-based column indices; k >= 1.  A facet F of a
+    full-dimensional cone(S) is the cone over the columns of S it
+    contains; it has dimension k - 1, so those include k - 1 independent
+    columns T, span(F) = span(T) and the inward normal of F is +-lam_T.
+    Conversely, when S spans, a lam_T with T in S that takes one sign on
+    S cuts out a face containing T, which is a facet.  S spans exactly
+    when some lam_T with T in S is nonzero on S; when S does not span,
+    span(T) = span(S) for every T in S of rank k - 1, so the first such
+    T decides.  The facets of a spanning cone generate its dual cone.
+    """
+    table = _sign_table(columns)
+    mask = 0
+    for i in s:
+        mask |= 1 << i
+    facets = set()
+    spans = False
+    for t in itertools.combinations(s, k - 1):
+        try:
+            row = table[t]
+        except KeyError:
+            row = table[t] = _hyperplane(columns, t, k)
+        if row is None:
+            continue
+        lam, pos, neg = row
+        if not mask & (pos | neg):
+            return None
+        spans = True
+        if not mask & neg:
+            facets.add(lam)
+        elif not mask & pos:
+            facets.add(_neg(lam))
+    return tuple(sorted(facets)) if spans else None
+
+
+def _hyperplane(columns: tuple[Vec, ...], t: tuple[int, ...], k: int) -> tuple[Vec, int, int] | None:
+    lam = _quotient_line(tuple(columns[i - 1] for i in t), (), k)
+    if lam is None:
+        return None
+    pos = neg = 0
+    for j, c in enumerate(columns, 1):
+        v = _dot(lam, c)
+        if v > 0:
+            pos |= 1 << j
+        elif v < 0:
+            neg |= 1 << j
+    return lam, pos, neg
+
+
+def _dual_cone(cols: tuple[Vec, ...], k: int) -> tuple[Vec, ...]:
+    """dual_cone_generators on validated input: length-k integer columns.
+
+    Spanning columns take the facet normals of their cone (see _facets);
+    others the lineality space ker(cols) with both signs, plus the edges
+    cut out by (r - 1)-subsets of the distinct nonzero columns, r the rank.
+    """
     if k == 0:
         return ()
+    if _rank_cached(cols) == k:
+        return _facets(cols, tuple(range(1, len(cols) + 1)), k)
     # Duplicate and zero columns do not change the dual cone.
-    rows = tuple(dict.fromkeys(c for c in columns if any(c)))
-    lin = () if matrix_rank(columns) == k else integer_kernel(rows, k)
-    gens: set[Vec] = set()
-    for v in lin:
-        gens.add(v)
-        gens.add(_neg(v))
-    r = k - len(lin)
-    if r > 0:
-        for t_rows in itertools.combinations(rows, r - 1):
-            v = _quotient_line(t_rows, lin, k)
-            if v is None:
-                continue
-            if all(_dot(v, c) >= 0 for c in rows):
-                gens.add(v)
-            elif all(_dot(v, c) <= 0 for c in rows):
-                gens.add(_neg(v))
+    rows = tuple(dict.fromkeys(c for c in cols if any(c)))
+    lin = integer_kernel(rows, k)
+    gens = set(lin) | {_neg(v) for v in lin}
+    for t_rows in itertools.combinations(rows, k - len(lin) - 1) if rows else ():
+        v = _quotient_line(t_rows, lin, k)
+        if v is None:
+            continue
+        if all(_dot(v, c) >= 0 for c in rows):
+            gens.add(v)
+        elif all(_dot(v, c) <= 0 for c in rows):
+            gens.add(_neg(v))
     return tuple(sorted(gens))
 
 
@@ -288,8 +355,7 @@ def dual_cone_generators(columns: Iterable[Sequence[int]], k: int) -> tuple[Vec,
     plus one representative per extreme edge; it may be redundant but it
     always generates.
     """
-    cols = tuple(_as_vec(c, k, "column") for c in columns)
-    return _dual_cone_generators_cached(cols, k)
+    return _dual_cone(tuple(_as_vec(c, k, "column") for c in columns), k)
 
 
 @dataclass(frozen=True)
@@ -326,22 +392,24 @@ def cone_position(chi: Sequence, columns: Iterable[Sequence[int]]) -> ConePositi
     chi_int = _integerize(chi)
     k = len(chi_int)
     cols = tuple(_as_vec(c, k, "column") for c in columns)
-    return _cone_position(chi_int, cols, k, matrix_rank(cols) == k)
+    position, witness = _cone_witness(_dual_cone(cols, k), chi_int, cols)
+    return ConePosition(position, _rank_cached(cols) == k, witness)
 
 
-def _cone_position(chi_int: Vec, cols: tuple[Vec, ...], k: int, full_dim: bool) -> ConePosition:
-    """cone_position on validated input: integer chi, length-k integer columns."""
-    gens = _dual_cone_generators_cached(cols, k)
-    boundary_witness = None
+def _cone_witness(gens: Sequence[Vec], chi: Vec, cols: Sequence[Vec]) -> tuple[str, Vec | None]:
+    """Position of chi against cone(cols) and its witness, from dual cone generators.
+
+    The first generator negative on chi is the OUTSIDE witness; failing
+    that, the first vanishing on chi but not on every column is the
+    BOUNDARY one.
+    """
     for lam in gens:
-        val = _dot(lam, chi_int)
-        if val < 0:
-            return ConePosition(OUTSIDE, full_dim, lam)
-        if val == 0 and boundary_witness is None and any(_dot(lam, c) for c in cols):
-            boundary_witness = lam
-    if boundary_witness is not None:
-        return ConePosition(BOUNDARY, full_dim, boundary_witness)
-    return ConePosition(RELATIVE_INTERIOR, full_dim, None)
+        if _dot(lam, chi) < 0:
+            return OUTSIDE, lam
+    for lam in gens:
+        if not _dot(lam, chi) and any(_dot(lam, c) for c in cols):
+            return BOUNDARY, lam
+    return RELATIVE_INTERIOR, None
 
 
 def positive_functional(columns: Iterable[Sequence[int]], k: int) -> Vec | None:
@@ -354,8 +422,7 @@ def positive_functional(columns: Iterable[Sequence[int]], k: int) -> Vec | None:
     kernel is nontrivial).
     """
     cols = tuple(_as_vec(c, k, "column") for c in columns)
-    gens = _dual_cone_generators_cached(cols, k)
-    lam = tuple(sum(g[i] for g in gens) for i in range(k))
+    lam = tuple(map(sum, zip((0,) * k, *_dual_cone(cols, k))))
     if all(_dot(lam, c) > 0 for c in cols):
         return lam
     return None
@@ -724,6 +791,8 @@ def hilbert_basis(
     No element is decomposed.
     """
     chi_v = _as_vec(chi, W.k, "character")
+    if certify_degree is not None and (not isinstance(certify_degree, int) or certify_degree < 0):
+        raise ValueError("certify_degree must be a nonnegative integer")
     aug = [W.entries[i] + (-chi_v[i],) for i in range(W.k)]
     mins = minimal_homogeneous_solutions(aug, W.cols + 1)
     gens: list[tuple[Vec, int]] = []

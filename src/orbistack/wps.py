@@ -93,6 +93,8 @@ def hilbert_series(a, max_degree: int) -> tuple[int, ...]:
     section_basis cardinalities.
     """
     a = WeightSystem.of(a)
+    if not isinstance(max_degree, int):
+        raise ValueError("max_degree must be an integer")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     coeffs = [0] * (max_degree + 1)

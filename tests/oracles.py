@@ -2,7 +2,8 @@
 
 Everything here recomputes package results by a different route: ranks
 via Fraction Gaussian elimination, lattice membership via minor gcds,
-solution sets via box enumeration, stability via bounded search over
+solution sets via box enumeration, dual cones via one Fraction kernel
+per subset of columns, stability via bounded search over
 one-parameter subgroups, chart generation via literal multiset search,
 normality via the literal decomposition scan, global generation via
 whole section spaces, the canonical monomial order via one keyed sort,
@@ -14,7 +15,7 @@ Slow and obvious on purpose; nothing imports from the package.
 import json
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 
 def frac_rank(rows) -> int:
@@ -218,6 +219,59 @@ def can_decompose(target, gens) -> bool:
         return False
 
     return rec(0, tuple(target))
+
+
+def _kernel_line(rows, k):
+    """Primitive integer vector spanning the kernel of rows, or None when that is not a line."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(k):
+        piv = next((r for r in range(len(pivots), len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    if len(pivots) != k - 1:
+        return None
+    free = next(c for c in range(k) if c not in pivots)
+    line = [Fraction(0)] * k
+    line[free] = Fraction(1)
+    for row, c in zip(m, pivots):
+        line[c] = -row[free]
+    den = lcm(*(x.denominator for x in line))
+    ints = [int(x * den) for x in line]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def dual_cone_by_subsets(columns, k) -> tuple[tuple[int, ...], ...]:
+    """Sorted extreme rays of the dual cone of columns that span Q^k.
+
+    Every extreme ray is cut out by k - 1 independent columns, so each
+    (k - 1)-subset with a one-dimensional kernel gives a candidate line;
+    it is kept, oriented inward, when it takes one sign on every column.
+    """
+    if k == 0:
+        return ()
+    cols = [tuple(c) for c in columns]
+    rays = set()
+    for t in combinations(cols, k - 1):
+        line = _kernel_line(t, k)
+        if line is None:
+            continue
+        values = [sum(l * x for l, x in zip(line, c)) for c in cols]
+        if all(v >= 0 for v in values):
+            rays.add(line)
+        elif all(v <= 0 for v in values):
+            rays.add(tuple(-x for x in line))
+    return tuple(sorted(rays))
 
 
 def find_destabilizer(columns, chi, bound):

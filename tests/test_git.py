@@ -133,20 +133,24 @@ def test_verdicts_match_subgroup_search():
 
 
 def certificate_by_dual_cone(action, support):
-    """The dual-cone route is_stable_support replaced, on public lattice calls."""
+    """A rank test, then the first of the oracle's dual-cone rays against chi."""
     k = action.matrix.k
     chi = action.character
     cols = [action.matrix.column(j - 1) for j in sorted(set(support))]
-    if lattice.matrix_rank(cols) < k:
+    if oracles.frac_rank(cols) < k:
         lam = lattice.integer_kernel(cols, k)[0]
         if sum(l * x for l, x in zip(lam, chi)) > 0:
             lam = tuple(-x for x in lam)
         return (NOT_STABLE, STABILIZER_INFINITE, lam)
-    pos = lattice.cone_position(chi, cols)
-    if pos.position == lattice.OUTSIDE:
-        return (NOT_STABLE, CHI_OUTSIDE_CONE, pos.witness)
-    if pos.position == lattice.BOUNDARY:
-        return (NOT_STABLE, CHI_ON_BOUNDARY, pos.witness)
+    rays = oracles.dual_cone_by_subsets(cols, k)
+    value = {lam: sum(l * x for l, x in zip(lam, chi)) for lam in rays}
+    outside = [lam for lam in rays if value[lam] < 0]
+    if outside:
+        return (NOT_STABLE, CHI_OUTSIDE_CONE, outside[0])
+    # A ray of a full-dimensional cone is nonzero on some column.
+    boundary = [lam for lam in rays if value[lam] == 0]
+    if boundary:
+        return (NOT_STABLE, CHI_ON_BOUNDARY, boundary[0])
     return (STABLE, None, None)
 
 

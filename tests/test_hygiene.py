@@ -4,9 +4,10 @@ No module of the package keeps an import it never uses (``__init__``
 re-exports on purpose), no module sorts with a Python key per monomial
 (``grlex_key`` is the tests' oracle of the canonical order, which
 graded pieces come out in and ``sort_monomials`` puts any other list
-in), the CLI's schema tag is built in one place, every source and
-test file parses as the oldest Python that pyproject.toml allows, and
-importing the CLI leaves ``array`` unloaded.
+in), no ``_``-prefixed top-level function or class is left unused, the
+CLI's schema tag is built in one place, every source and test file
+parses as the oldest Python that pyproject.toml allows, and importing
+the CLI leaves ``array`` unloaded.
 """
 
 import ast
@@ -50,6 +51,56 @@ def test_unused_imports_are_flagged():
     assert unused_imports("from itertools import combinations\ndef f(): pass") == ["combinations"]
     # Only module-level imports are checked.
     assert unused_imports("def f():\n    import json") == []
+
+
+def orphaned_private_definitions(sources: dict[str, str]) -> list[str]:
+    """module:name of each top-level _-prefixed def or class no other code reads.
+
+    A name counts as read when some module loads it as a name, as an
+    attribute or through a from-import, outside its own definition.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    readers: dict[str, set] = {}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    readers.setdefault(name, set()).add(id(stmt))
+    return [
+        f"{module}:{stmt.name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not readers.get(stmt.name, set()) - {id(stmt)}
+    ]
+
+
+def test_no_private_definition_is_orphaned():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) >= 7
+    assert orphaned_private_definitions(sources) == []
+
+
+def test_orphaned_private_definitions_are_flagged():
+    assert orphaned_private_definitions({"a.py": "def _f(): pass\ndef g(): pass"}) == ["a.py:_f"]
+    # Read by a call in the same module, an attribute or a from-import in another.
+    assert orphaned_private_definitions({"a.py": "def _f(): pass\n_f()"}) == []
+    assert orphaned_private_definitions({"a.py": "class _C: pass", "b.py": "import a\na._C"}) == []
+    assert orphaned_private_definitions({"a.py": "def _f(): pass", "b.py": "from .a import _f"}) == []
+    # A definition that only reads itself is still orphaned.
+    assert orphaned_private_definitions({"a.py": "def _f(n):\n    return _f(n - 1)"}) == ["a.py:_f"]
+    assert orphaned_private_definitions({"a.py": "class _C:\n    def m(self):\n        return _C()"}) == ["a.py:_C"]
+    # Nested and public definitions are not checked.
+    assert orphaned_private_definitions({"a.py": "def f():\n    def _g(): pass"}) == []
 
 
 def sorts_keyed_by(source: str, name: str) -> list[int]:

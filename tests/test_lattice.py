@@ -155,6 +155,28 @@ def test_dual_cone_generators_are_sound():
                 assert sum(g * x for g, x in zip(gen, c)) >= 0
 
 
+def test_dual_cone_of_spanning_columns_matches_the_subset_search():
+    # Columns that span Q^k take their dual cone from the sign table's
+    # facets; the oracle solves one Fraction kernel per (k - 1)-subset.
+    rng = random.Random(71)
+    checked = {k: 0 for k in range(1, 5)}
+    zero = repeated = 0
+    while min(checked.values()) < 100:
+        k = rng.randint(1, 4)
+        cols = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(rng.randint(k, k + 4))]
+        if rng.random() < 0.3:
+            cols[rng.randrange(len(cols))] = (0,) * k
+        if rng.random() < 0.3:
+            cols.append(rng.choice(cols))
+        if oracles.frac_rank(cols) < k:
+            continue
+        assert dual_cone_generators(cols, k) == oracles.dual_cone_by_subsets(cols, k), cols
+        checked[k] += 1
+        zero += (0,) * k in cols
+        repeated += len(set(cols)) < len(cols)
+    assert zero >= 120 and repeated >= 140
+
+
 def frozen_cone_sample():
     """Seeded cone inputs: k in 1..4, 0-7 columns from [-3, 3]^k, rational chi."""
     rng = random.Random(2024)
@@ -814,6 +836,14 @@ def test_hilbert_basis_completeness_failure_is_typed(monkeypatch):
     assert exc.value.witness == {"degree": 1, "monomial": [1, 0]}
     # Without the completeness sweep the check is never reached.
     assert hilbert_basis(W((1, 3)), (1,), certify=False).certified_degree is None
+
+
+def test_hilbert_basis_certify_degree_is_a_nonnegative_integer():
+    # A negative bound would report a sweep that never ran.
+    for bound in (-3, -1, 2.5, "2"):
+        with pytest.raises(ValueError, match="certify_degree"):
+            hilbert_basis(W((1, 3)), (1,), certify_degree=bound)
+    assert hilbert_basis(W((1, 3)), (1,), certify_degree=0).certified_degree == 0
 
 
 KERNEL_123 = ((1, 1, -1), (0, 3, -2))

@@ -68,6 +68,9 @@ def test_hilbert_series_frozen():
     assert hilbert_series((2,), 4) == (1, 0, 1, 0, 1)
     with pytest.raises(ValueError):
         hilbert_series((1, 3), -1)
+    for bad in (2.5, "3", None):
+        with pytest.raises(ValueError, match="max_degree must be an integer"):
+            hilbert_series((1, 2), bad)
 
 
 def test_series_three_routes_agree():
