@@ -4,18 +4,23 @@ Every command prints one JSON document that main opens with the schema
 tag and the command name; key order is fixed and arrays are canonically
 ordered, so identical jobs produce identical bytes.  Integers beyond the
 53-bit safe range are emitted as decimal strings: every such integer has
-at least 16 digits, so `emit` prints a document with one `json.dumps`
-and copies it with those integers as strings only when that text holds a
-run of 16 ASCII digits, found by mapping every digit to 0 with one
-`str.translate`.  Documents read back are checked array by array in
-bulk, and only an array that fails the bulk check is decoded entry by
-entry to name the offending path; the decoded data is marked so that
-structure validation does not check those types again.  Exit codes: 0
-success, 1 domain failure (machine-readable error object on stdout), 2
-malformed input; a reader that closes stdout early also gets 1, with
-nothing on stderr.
+at least 16 digits, so `emit` prints a document member by member with
+`json.dumps` and copies it with those integers as strings only when that
+text holds a run of 16 ASCII digits, found by mapping every digit to 0
+with `str.translate`.  The `coordinates` of an embed document are V1
+then the V2 blocks, and each monomial is printed once: `emit` joins the
+text of `coordinates` from the texts of V1 and the blocks.  The reader
+of `verify` and `recover` reads a compact object member by member with
+the stdlib's C scanner and does not parse `coordinates` whose text is
+that join; any other text is read, and any error worded, by
+`json.loads`.  Documents read back are checked array by array in bulk,
+and only an array that fails the bulk check is decoded entry by entry to
+name the offending path; the decoded data is marked so that structure
+validation does not check those types again.  Exit codes: 0 success, 1
+domain failure (machine-readable error object on stdout), 2 malformed
+input; a reader that closes stdout early also gets 1, with nothing on
+stderr.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -23,6 +28,7 @@ import functools
 import gc
 import itertools
 import json
+import operator
 import os
 import sys
 
@@ -71,26 +77,90 @@ def _encode(value, path: str = "$"):
 def emit(document) -> str:
     """The canonical text of document: compact JSON, ints past SAFE_MAX as strings.
 
-    One json.dumps pass prints it at C speed.  An int past SAFE_MAX has
-    at least 16 digits, so only when that text holds a run of 16 ASCII
-    digits (such an int, or a safe 16-digit int, or digits in a string)
-    is the document printed again from its _encode copy.  So is a
-    document json.dumps refuses: one holding an int past the digit
-    limit fails there as a SchemaViolation naming its member.  The run
-    is found at C speed too: with 1-9 mapped to 0 by one translate, it
-    is a run of sixteen zeros.
+    json.dumps prints it at C speed, a dict member by member (see
+    _compact).  An int past SAFE_MAX has at least 16 digits, so only
+    when that text holds a run of 16 ASCII digits (such an int, or a
+    safe 16-digit int, or digits in a string) is the document printed
+    again from its _encode copy.  So is a document json.dumps refuses:
+    one holding an int past the digit limit fails there as a
+    SchemaViolation naming its member.  The run is found at C speed too:
+    with 1-9 mapped to 0 by one translate, it is a run of sixteen zeros.
     """
-    # Handlers and payload() build every document as a fresh tree, and so
-    # does _encode, so no document holds a cycle and neither dumps keeps
-    # the encoder's marker for each container it enters.
     try:
-        text = json.dumps(document, separators=(",", ":"), allow_nan=False, check_circular=False)
+        pieces, scanned = _compact(document)
     except (TypeError, ValueError):
         pass
     else:
-        if "0" * 16 not in text.translate(_ZERO_DIGITS):
-            return text
+        if not any("0" * 16 in text.translate(_ZERO_DIGITS) for text in scanned):
+            return "".join(pieces)
     return json.dumps(_encode(document), separators=(",", ":"), check_circular=False)
+
+
+# Handlers and payload() build every document as a fresh tree, and so does
+# _encode, so no document holds a cycle and no dumps keeps the encoder's
+# marker for each container it enters.
+_dumps = functools.partial(
+    json.dumps, separators=(",", ":"), allow_nan=False, check_circular=False
+)
+
+
+def _compact(document) -> tuple[list[str], list[str]]:
+    """Texts that join to the compact JSON of document, and those that hold its digits.
+
+    A dict is dumped member by member.  When its coordinates are V1 then
+    the blocks of V2 (see _layout_groups), the entries of V1 and of each
+    block are dumped once, as one comma-separated text each, and V1, V2
+    and coordinates are all joined from those texts.  coordinates needs
+    no scan then: a run of digits in it is a run in V1 or in a block, as
+    no run crosses a comma.  Nothing is copied but into the final join.
+    """
+    if not isinstance(document, dict):
+        text = _dumps(document)
+        return [text], [text]
+    groups = _layout_groups(document)
+    entries = [_dumps(group)[1:-1] for group in groups]
+    scanned = entries[:]
+    members = []
+    for key, value in document.items():
+        if groups and key == "V1":
+            members.append(['"V1":[', entries[0], "]"])
+        elif groups and key == "V2":
+            members.append(['"V2":[', *_commas(["[", e, "]"] for e in entries[1:]), "]"])
+        elif groups and key == "coordinates":
+            members.append(['"coordinates":[', *_commas([e] for e in entries if e), "]"])
+        else:
+            text = _dumps({key: value})[1:-1]
+            members.append([text])
+            scanned.append(text)
+    return ["{", *_commas(members), "}"], scanned
+
+
+def _commas(items) -> list[str]:
+    """The pieces of each item in turn, with a comma between items."""
+    pieces = []
+    for item in items:
+        pieces += (",", *item)
+    return pieces[1:]
+
+
+def _layout_groups(document: dict) -> list:
+    """[V1, *V2] when the entries of those arrays are document's coordinates, else [].
+
+    Entry for entry, the coordinates must be the very objects of V1 and
+    then of each block, so that each prints as that entry does.
+    """
+    v1, v2, coordinates = (document.get(key) for key in ("V1", "V2", "coordinates"))
+    arrays = (list, tuple)
+    if not (isinstance(v1, arrays) and isinstance(v2, arrays) and isinstance(coordinates, arrays)):
+        return []
+    groups = [v1, *v2]
+    if (
+        all(isinstance(group, arrays) for group in groups)
+        and len(coordinates) == sum(map(len, groups))
+        and all(map(operator.is_, coordinates, itertools.chain.from_iterable(groups)))
+    ):
+        return groups
+    return []
 
 
 def _parse_int(text: str, path: str, message: str | None = None) -> int:
@@ -309,8 +379,8 @@ def _data_from_document(doc) -> embed_mod.EmbeddingData:
         _want(doc, "target_weights", "$", list, "an array"), "$.target_weights", _decode_int
     )
     coordinates, _ = embed_mod._layout(v1, blocks, n_twist)
-    if "coordinates" in doc:
-        raw_coords = doc["coordinates"]
+    raw_coords = doc.get("coordinates", _LAYOUT)
+    if raw_coords is not _LAYOUT:
         if not isinstance(raw_coords, list):
             raise SchemaViolation("expected an array at $.coordinates", path="$.coordinates")
         # Raw coordinates equal to the raw V1 then blocks decode to the
@@ -358,6 +428,8 @@ def _load_document(arg: str) -> dict:
     """The JSON document in the file arg names, or on stdin for "-".
 
     Text that is not UTF-8 is not JSON either, whichever way it came.
+    Any text _read_compact does not take is read by json.loads, which
+    also words every error.
     """
     try:
         if arg == "-":
@@ -368,9 +440,83 @@ def _load_document(arg: str) -> dict:
                     text = handle.read()
             except OSError as err:
                 raise SchemaViolation(f"cannot read data file: {err}", path="$") from err
-        return json.loads(text)
+        try:
+            return _read_compact(text)
+        except (ValueError, StopIteration, IndexError, RecursionError):
+            return json.loads(text)
     except (ValueError, RecursionError) as err:
         raise SchemaViolation(f"invalid JSON: {err}", path="$") from err
+
+
+# What _read_compact reads coordinates as when their text is V1 then the
+# blocks: _data_from_document then keeps the layout it decoded from those.
+_LAYOUT = object()
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _read_compact(text: str) -> dict:
+    """json.loads(text) of a compact JSON object with distinct keys, read member by member.
+
+    Each member value is read by the stdlib's C scanner, V2 block by
+    block, so that the span of V1 and of each block is known.  The text
+    of coordinates is not parsed when it is the entries of V1 and of each
+    block joined into one array, which is how emit writes it; it reads
+    as _LAYOUT.  Any other text raises ValueError, StopIteration,
+    IndexError or RecursionError: whitespace between members, a repeated
+    key, trailing text other than whitespace, or text json.loads refuses.
+    """
+    if text[0] != "{":
+        raise ValueError("not an object")
+    doc = {}
+    spans = {}
+    idx, sep = 0, ","
+    while sep == ",":
+        if text[idx + 1] != '"':
+            raise ValueError("not a key")
+        key, idx = _scan_once(text, idx + 1)
+        if key in doc or text[idx] != ":":
+            raise ValueError("a repeated key or no colon")
+        idx += 1
+        layout = _layout_text(text, spans) if key == "coordinates" else ""
+        if key == "V2" and text[idx] == "[":
+            value, spans["V2"], idx = _read_blocks(text, idx)
+        elif layout and text.startswith(layout, idx):
+            value, idx = _LAYOUT, idx + len(layout)
+        else:
+            start = idx
+            value, idx = _scan_once(text, idx)
+            spans[key] = [(start, idx)]
+        doc[key] = value
+        sep = text[idx]
+    if sep != "}" or text[idx + 1 :].strip(" \t\n\r"):
+        raise ValueError("extra data")
+    return doc
+
+
+def _read_blocks(text: str, idx: int) -> tuple[list, list, int]:
+    """The array that starts at text[idx], the span of each entry, and the end."""
+    blocks, spans = [], []
+    if text[idx + 1] == "]":
+        return blocks, spans, idx + 2
+    sep = ","
+    while sep == ",":
+        start = idx + 1
+        block, idx = _scan_once(text, start)
+        blocks.append(block)
+        spans.append((start, idx))
+        sep = text[idx]
+    if sep != "]":
+        raise ValueError("no comma")
+    return blocks, spans, idx + 1
+
+
+def _layout_text(text: str, spans: dict) -> str:
+    """The entries of V1 and of each V2 block joined into one array; "" unless all are arrays."""
+    groups = spans["V1"] + spans["V2"] if "V1" in spans and "V2" in spans else []
+    if not groups or any(text[s] != "[" for s, _ in groups):
+        return ""
+    return "[" + ",".join(text[s + 1 : e - 1] for s, e in groups if e - s > 2) + "]"
 
 
 def _check_document(arg: str, check):

@@ -641,16 +641,24 @@ def _minimal_supports(
     Supports are walked by size, then lexicographically, and one that
     contains a support already found is skipped untested, so every
     support that passes holds is minimal.  Items are distinct
-    nonnegative ints, which double as bit positions.
+    nonnegative ints, which double as bit positions.  covered holds the
+    bitmasks of the previous size that contain a found support, and a
+    support contains a smaller found one exactly when removing one of
+    its items leaves a bitmask in covered.
     """
-    found: list[int] = []
+    bits = [1 << i for i in items]
+    covered: set[int] = set()
     out = []
     for size in range(max_size + 1):
-        for s in itertools.combinations(items, size):
-            mask = sum(1 << i for i in s)
-            if all(m & mask != m for m in found) and holds(s):
-                found.append(mask)
+        level = set()
+        for s, s_bits in zip(itertools.combinations(items, size), itertools.combinations(bits, size)):
+            mask = sum(s_bits)
+            if not covered.isdisjoint(map(mask.__xor__, s_bits)):
+                level.add(mask)
+            elif holds(s):
+                level.add(mask)
                 out.append(s)
+        covered = level
     return tuple(out)
 
 
@@ -742,31 +750,6 @@ def graded_sections(W: IntMatrix, chi: Sequence[int], m: int) -> GradedSolutionS
     if budget < 0:
         return GradedSolutionSet(m, ())
     return GradedSolutionSet(m, _bounded_solutions(cols, target, costs, budget))
-
-
-def is_nonneg_combination(target: Sequence[int], generators: Iterable[Sequence[int]]) -> bool:
-    """Is target a nonnegative integer combination of the generators?"""
-    tgt = tuple(target)
-    gens = [tuple(g) for g in generators]
-    for g in gens:
-        if len(g) != len(tgt):
-            raise ValueError("generator length does not match target")
-    gens = [g for g in gens if any(g) and all(gi <= ti for gi, ti in zip(g, tgt))]
-    failed: set[Vec] = set()
-
-    def rec(res: Vec) -> bool:
-        if not any(res):
-            return True
-        if res in failed:
-            return False
-        for g in gens:
-            if all(gi <= ri for gi, ri in zip(g, res)):
-                if rec(tuple(ri - gi for ri, gi in zip(res, g))):
-                    return True
-        failed.add(res)
-        return False
-
-    return rec(tgt)
 
 
 def hilbert_basis(

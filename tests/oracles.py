@@ -8,7 +8,8 @@ one-parameter subgroups, chart generation via literal multiset search,
 normality via the literal decomposition scan, global generation via
 whole section spaces, the canonical monomial order via one keyed sort,
 canonical JSON via a full copy of the document, recovery by grouping
-coordinates into weight classes, base loci by walking every support.
+coordinates into weight classes, base loci by walking every support,
+minimal supports by a scan over the supports found so far.
 Slow and obvious on purpose; nothing imports from the package.
 """
 
@@ -491,6 +492,25 @@ def minimal_stable_supports_by_walk(columns, chi, bound) -> tuple[tuple[int, ...
     for bits, stable in verdicts.items():
         assert stable == any(m & bits == m for m in minimal), ("not upward closed", bits)
     return tuple(tuple(j + 1 for j in range(n) if m >> j & 1) for m in minimal)
+
+
+def minimal_supports_by_superset_scan(items, max_size, holds) -> tuple[tuple[int, ...], ...]:
+    """Minimal supports of at most max_size items satisfying an upward-closed holds.
+
+    Supports are walked by size, then in combinations order; one whose
+    bitmask contains the bitmask of a support already found is skipped
+    untested, by a scan over every support found so far.  Items are
+    distinct nonnegative ints, which double as bit positions.
+    """
+    found = []
+    out = []
+    for size in range(max_size + 1):
+        for s in combinations(items, size):
+            mask = sum(1 << i for i in s)
+            if all(m & mask != m for m in found) and holds(s):
+                found.append(mask)
+                out.append(s)
+    return tuple(out)
 
 
 def recover_by_weight_classes(coordinates, target_weights):

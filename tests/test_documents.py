@@ -1,14 +1,17 @@
 """Document text in and out: the encoder's boundaries and the decoder's errors.
 
-`cli.emit` prints a document by one compact `json.dumps` and falls back
-to the two-pass encoder only when that text holds a run of 16 digits,
-found by mapping 1-9 to 0 and looking for sixteen zeros, or when an int
-passes the digit limit; `oracles.canonical_json` is that two-pass rule
-on its own, and the two must agree byte for byte, also for every
-command that can print an int past the safe range.  `verify` and
-`recover` decode embed documents by bulk checks with a path-tracking
-fallback; over seeded mutated documents their exit codes and stdout are
-pinned by one digest, taken before the bulk checks existed.
+`cli.emit` prints a document by compact `json.dumps`, member by member,
+with an embed document's coordinates joined from the texts of V1 and the
+blocks, and falls back to the two-pass encoder only when that text holds
+a run of 16 digits, found by mapping 1-9 to 0 and looking for sixteen
+zeros, or when an int passes the digit limit; `oracles.canonical_json`
+is that two-pass rule on its own, and the two must agree byte for byte,
+also for every command that can print an int past the safe range.
+`verify` and `recover` read a compact document member by member, its
+coordinates matched as text, and any other text by `json.loads`; they
+decode embed documents by bulk checks with a path-tracking fallback.
+Over seeded mutated documents their exit codes and stdout are pinned by
+one digest, taken before the bulk checks existed.
 """
 
 import copy
@@ -16,6 +19,7 @@ import dataclasses
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import operator
@@ -93,6 +97,58 @@ def test_emit_agrees_with_the_two_pass_encoder_on_seeded_documents():
         fallbacks += expected != json.dumps(document, separators=(",", ":"))
     # Both sides of the fallback are exercised.
     assert 200 < fallbacks < 2300
+
+
+def embed_shaped_documents():
+    """Seeded documents laid out as embed's, and near misses of that layout.
+
+    Blocks may be empty; exponents are small, or past SAFE_MAX, or safe
+    with 16 digits.  Every fourth document keeps coordinates equal to V1
+    then the blocks but not the very same objects, every fourth prints
+    true for a 1 there, and every fourth drops the last coordinate.
+    """
+    rng = random.Random(20261020)
+
+    def exponent():
+        kind = rng.randrange(16)
+        if kind == 0:
+            return SAFE_MAX + rng.randint(-2, 3)
+        if kind == 1:
+            return rng.randrange(10**15, SAFE_MAX)
+        return rng.randrange(1, 4) if kind < 10 else 0
+
+    for i in range(800):
+        width = rng.randint(1, 4)
+
+        def group():
+            return tuple(tuple(exponent() for _ in range(width)) for _ in range(rng.randrange(4)))
+
+        v1, v2 = group(), tuple(group() for _ in range(rng.randrange(5)))
+        coordinates = v1 + tuple(itertools.chain.from_iterable(v2))
+        if i % 4 == 1:
+            coordinates = tuple(tuple(list(e)) for e in coordinates)
+        elif i % 4 == 2 and coordinates:
+            first = tuple(True if x == 1 else x for x in coordinates[0])
+            coordinates = (first,) + coordinates[1:]
+        elif i % 4 == 3:
+            coordinates = coordinates[:-1]
+        yield {
+            "schema": 1, "command": "embed", "weights": (1,) * width, "V1": v1, "V2": v2,
+            "target_weights": (3,) * len(coordinates), "coordinates": coordinates,
+            "certification": {"descent_modulus": rng.choice((1, 2**60)), "assumption": "x"},
+        }
+
+
+def test_emit_joins_the_coordinates_as_the_two_pass_encoder_prints_them():
+    joined = fallbacks = 0
+    for document in embed_shaped_documents():
+        expected = canonical_json(document)
+        assert cli.emit(document) == expected
+        joined += bool(cli._layout_groups(document))
+        fallbacks += expected != json.dumps(document, separators=(",", ":"))
+    # The join is used and passed by, and both sides of the fallback are exercised.
+    assert 150 < joined < 300
+    assert 200 < fallbacks < 700
 
 
 @pytest.mark.parametrize(
@@ -267,13 +323,13 @@ def mutate(doc, rng):
                 array[i] = copy.deepcopy(rng.choice((3, "x", {}, None, True)))
 
 
-def mutated_documents(base, seed, count):
+def mutated_documents(base, seed, count, separators=None):
     rng = random.Random(seed)
     for _ in range(count):
         doc = copy.deepcopy(base)
         for _ in range(rng.choice((1, 1, 2, 3))):
             mutate(doc, rng)
-        yield json.dumps(doc)
+        yield json.dumps(doc, separators=separators)
 
 
 # sha256 over "<command> <exit code>\n<stdout>" of verify, then recover,
@@ -281,19 +337,43 @@ def mutated_documents(base, seed, count):
 MUTATED_DIGEST = "87e58b3eb9e182e11580d96a63bbe4996214ffdba20b55a1e53aa4dc017ec624"
 
 
-def test_verify_and_recover_on_mutated_documents_match_the_frozen_digest(capsys, monkeypatch):
+def mutated_digest(capsys, monkeypatch, separators):
     digest = hashlib.sha256()
     codes = set()
     for weights, seed in (("2,3,5", 235), ("1,2,3,4", 1234)):
         base = embed_document(capsys, weights)
-        for text in mutated_documents(base, seed, 500):
+        for text in mutated_documents(base, seed, 500, separators):
             for command in ("verify", "recover"):
                 code, out = run_on(capsys, monkeypatch, command, text)
                 assert out.count("\n") == 1
                 codes.add(code)
                 digest.update(f"{command} {code}\n{out}".encode("utf-8"))
     assert codes == {0, 1, 2}
-    assert digest.hexdigest() == MUTATED_DIGEST
+    return digest.hexdigest()
+
+
+def test_verify_and_recover_on_mutated_documents_match_the_frozen_digest(capsys, monkeypatch):
+    assert mutated_digest(capsys, monkeypatch, None) == MUTATED_DIGEST
+
+
+def test_verify_and_recover_on_compact_mutated_documents_match_the_frozen_digest(
+    capsys, monkeypatch
+):
+    # The same documents printed compactly, as emit prints them, are all
+    # read member by member, 768 of the 2,000 reads with their coordinates
+    # matched as text.  Separators change no output: captured before the
+    # compact reader existed, this digest was MUTATED_DIGEST too.
+    read = cli._read_compact
+    marks = []
+
+    def reading(text):
+        doc = read(text)
+        marks.append(doc.get("coordinates") is cli._LAYOUT)
+        return doc
+
+    monkeypatch.setattr(cli, "_read_compact", reading)
+    assert mutated_digest(capsys, monkeypatch, (",", ":")) == MUTATED_DIGEST
+    assert len(marks) == 2000 and sum(marks) == 768
 
 
 def test_first_error_in_a_deep_monomial_keeps_its_path_and_bytes(capsys, monkeypatch):
@@ -386,7 +466,7 @@ def test_a_deeply_nested_weight_exits_2_with_one_document(capsys, monkeypatch, c
 # Coordinates equal to the raw V1 then blocks reuse the decoded layout;
 # these documents differ from it in one place each.  The outputs were
 # captured before the shortcut existed.
-def coordinates_edited(kind):
+def coordinates_edited(kind, separators=None):
     doc = json.loads(EMBED_P13)
     coordinates = doc["coordinates"]
     if kind in ("true", "1.0", '"1"'):
@@ -397,7 +477,7 @@ def coordinates_edited(kind):
         coordinates.pop()
     elif kind == "added":
         coordinates.append([0, 2])
-    return json.dumps(doc)
+    return json.dumps(doc, separators=separators)
 
 
 RECOVER_P13 = (
@@ -415,25 +495,92 @@ NOT_THE_LAYOUT = (
 )
 
 
-@pytest.mark.parametrize(
-    "kind,expected",
-    [
-        ("true", {"verify": NOT_AN_INTEGER, "recover": NOT_AN_INTEGER}),
-        ("1.0", {"verify": NOT_AN_INTEGER, "recover": NOT_AN_INTEGER}),
-        ('"1"', {"verify": (0, VERIFY_P13), "recover": (0, RECOVER_P13)}),
-        ("swapped", {"verify": NOT_THE_LAYOUT, "recover": NOT_THE_LAYOUT}),
-        ("missing", {"verify": NOT_THE_LAYOUT, "recover": NOT_THE_LAYOUT}),
-        ("added", {"verify": NOT_THE_LAYOUT, "recover": NOT_THE_LAYOUT}),
-    ],
-)
+COORDINATE_EDITS = [
+    ("true", {"verify": NOT_AN_INTEGER, "recover": NOT_AN_INTEGER}),
+    ("1.0", {"verify": NOT_AN_INTEGER, "recover": NOT_AN_INTEGER}),
+    ('"1"', {"verify": (0, VERIFY_P13), "recover": (0, RECOVER_P13)}),
+    ("swapped", {"verify": NOT_THE_LAYOUT, "recover": NOT_THE_LAYOUT}),
+    ("missing", {"verify": NOT_THE_LAYOUT, "recover": NOT_THE_LAYOUT}),
+    ("added", {"verify": NOT_THE_LAYOUT, "recover": NOT_THE_LAYOUT}),
+]
+
+
+@pytest.mark.parametrize("kind,expected", COORDINATE_EDITS)
 @pytest.mark.parametrize("command", ["verify", "recover"])
 def test_coordinates_off_the_layout_keep_their_bytes(capsys, monkeypatch, command, kind, expected):
     assert run_on(capsys, monkeypatch, command, coordinates_edited(kind)) == expected[command]
 
 
+@pytest.mark.parametrize("kind,expected", COORDINATE_EDITS)
+@pytest.mark.parametrize("command", ["verify", "recover"])
+def test_compact_coordinates_off_the_layout_keep_their_bytes(
+    capsys, monkeypatch, command, kind, expected
+):
+    # Printed as emit prints: the reader compares the coordinates' text
+    # with the join of V1 and the blocks, which none of these matches.
+    text = coordinates_edited(kind, (",", ":"))
+    assert run_on(capsys, monkeypatch, command, text) == expected[command]
+
+
+def moved_before(text, member, anchor):
+    """text with the member that starts with member moved in front of anchor."""
+    start = text.index(member)
+    end = text.index(',"', start + len(member)) + 1
+    moved = text[:start] + text[end:]
+    return moved.replace(anchor, text[start:end] + anchor, 1)
+
+
+# Texts the compact reader must read as json.loads does, whether it falls
+# back to json.loads (True) or reads them member by member (False).  The
+# outputs were captured before the compact reader existed.
+READER_CASES = {
+    "compact": (EMBED_P13, False, (0, VERIFY_P13)),
+    "one space": (EMBED_P13.replace('"m0":3', '"m0": 3'), True, (0, VERIFY_P13)),
+    "space between blocks": (EMBED_P13.replace("]],[[5", "]], [[5"), True, (0, VERIFY_P13)),
+    "duplicate key": (EMBED_P13.replace("}}\n", '},"V1":[[0,1]]}\n'), True, NOT_THE_LAYOUT),
+    "trailing text": (
+        EMBED_P13 + "{}",
+        True,
+        (2, '{"error":"SchemaViolation","message":"invalid JSON: Extra data: '
+            'line 2 column 1 (char 511)","witness":{"path":"$"}}\n'),
+    ),
+    "reordered member": (
+        EMBED_P13.replace('"dprime":1,"m0":3,"N":3,', '"m0":3,"N":3,"dprime":1,'),
+        False,
+        (0, VERIFY_P13),
+    ),
+    "coordinates before V1": (
+        moved_before(EMBED_P13, '"coordinates":', '"V1":'), False, (0, VERIFY_P13)
+    ),
+    "coordinates in assumption": (
+        EMBED_P13.replace('"assumption":"', '"assumption":"\\"coordinates\\":[[3,0]]'),
+        False,
+        (0, VERIFY_P13),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text,falls_back,expected", READER_CASES.values(), ids=READER_CASES.keys()
+)
+def test_the_compact_reader_reads_as_json_loads(capsys, monkeypatch, text, falls_back, expected):
+    loads = json.loads
+    calls = []
+    monkeypatch.setattr(json, "loads", lambda s, **kw: calls.append(s) or loads(s, **kw))
+    assert run_on(capsys, monkeypatch, "verify", text) == expected
+    assert calls == ([text] if falls_back else [])
+
+
 def test_coordinates_equal_to_the_layout_are_decoded_once():
     data = cli._data_from_document(json.loads(EMBED_P13))
     assert data.coordinates == data.V1 + data.V2
+    assert all(map(operator.is_, data.coordinates, data.V1 + data.V2))
+    # Read compactly, their text is matched against V1 and the blocks
+    # and not parsed at all.
+    doc = cli._read_compact(EMBED_P13)
+    assert doc["coordinates"] is cli._LAYOUT
+    assert {**doc, "coordinates": None} == {**json.loads(EMBED_P13), "coordinates": None}
+    data = cli._data_from_document(doc)
     assert all(map(operator.is_, data.coordinates, data.V1 + data.V2))
 
 

@@ -30,6 +30,7 @@ from orbistack import (
 )
 from orbistack import git, lattice
 from tests import oracles
+from tests.test_golden import ACTIONS
 
 
 def act(rows, chi):
@@ -290,6 +291,46 @@ def test_stable_locus_matches_full_walk_oracle():
         action = CharacterAction(IntMatrix(tuple(rows), len(cols)), chi)
         expected = oracles.minimal_stable_supports_by_walk(cols, chi, WALK_BOUND[k])
         assert stable_locus(action).minimal_stable_supports == expected, (cols, chi)
+
+
+def support_walks(items, max_size, holds):
+    """The walk by level sets and the oracle's superset scan agree, holds call for call."""
+    calls = ([], [])
+    walks = (lattice._minimal_supports, oracles.minimal_supports_by_superset_scan)
+    found = [
+        walk(items, max_size, lambda s, seen=seen: seen.append(s) or holds(s))
+        for walk, seen in zip(walks, calls)
+    ]
+    assert found[0] == found[1]
+    assert calls[0] == calls[1]
+    return found[0], calls[0]
+
+
+def test_support_walk_by_level_sets_matches_the_superset_scan():
+    # Upward-closed predicates: a support holds when it contains one of a
+    # seeded family of sets, the empty set among them now and then.
+    rng = random.Random(20261020)
+    skipped = 0
+    for _ in range(400):
+        items = sorted(rng.sample(range(14), rng.randrange(11)))
+        family = [
+            set(rng.sample(items, rng.randrange(min(len(items), 4) + 1)))
+            for _ in range(rng.randrange(5))
+        ]
+        max_size = rng.randrange(len(items) + 1)
+        _, tested = support_walks(items, max_size, lambda s: any(f <= set(s) for f in family))
+        skipped += sum(comb(len(items), r) for r in range(max_size + 1)) - len(tested)
+    assert skipped > 10_000
+    # The golden 2x22 and 3x16 actions, walked as stable_locus walks them.
+    for name, chi in (("2x22", (-2, 1)), ("3x16", (-1, 2, -2))):
+        rows = [[int(x) for x in row.split(",")] for row in ACTIONS[name].split(";")]
+        action = act(rows, chi)
+        n, k = action.matrix.cols, action.matrix.k
+        found, tested = support_walks(
+            range(1, n + 1), min(n, 2 * k), lambda s: is_stable_support(action, s).stable
+        )
+        assert found == stable_locus(action).minimal_stable_supports
+        assert found and len(tested) < sum(comb(n, r) for r in range(2 * k + 1))
 
 
 def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):

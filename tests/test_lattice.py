@@ -25,7 +25,6 @@ from orbistack import (
     grlex_key,
     hilbert_basis,
     integer_kernel,
-    is_nonneg_combination,
     lattice_spans,
     matrix_rank,
     minimal_homogeneous_solutions,
@@ -875,18 +874,6 @@ def test_hilbert_basis_k0():
     assert not basis.pointed
     with pytest.raises(InfiniteSolutionSet):
         graded_sections(free, (), 0)
-
-
-def test_is_nonneg_combination_matches_reference():
-    gens = [(1, 0, 1), (0, 1, 1), (1, 1, 2)]
-    for target in product(range(4), range(4), range(5)):
-        assert is_nonneg_combination(target, gens) == oracles.can_decompose(target, gens)
-    assert is_nonneg_combination((0, 0), ())
-    assert not is_nonneg_combination((1, 0), ())
-    with pytest.raises(ValueError):
-        is_nonneg_combination((2, 2), [(1,)])
-    with pytest.raises(ValueError):
-        is_nonneg_combination((2,), [(1, 1)])
 
 
 def test_lattice_spans_is_a_rational_rank_test():
