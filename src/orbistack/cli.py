@@ -9,17 +9,21 @@ at least 16 digits, so `emit` prints a document member by member with
 text holds a run of 16 ASCII digits, found by mapping every digit to 0
 with `str.translate`.  The `coordinates` of an embed document are V1
 then the V2 blocks, and each monomial is printed once: `emit` joins the
-text of `coordinates` from the texts of V1 and the blocks.  The reader
+text of `coordinates` from the texts of V1 and the blocks.  A graded
+piece that kept its exponent columns (lattice.Monomials: a `sections`
+basis, V1 or a V2 block) is printed from those columns through a table
+of digit strings, and needs no scan.  The reader
 of `verify` and `recover` reads a compact object member by member with
 the stdlib's C scanner and does not parse `coordinates` whose text is
 that join; any other text is read, and any error worded, by
 `json.loads`.  Documents read back are checked array by array in bulk,
 and only an array that fails the bulk check is decoded entry by entry to
 name the offending path; the decoded data is marked so that structure
-validation does not check those types again.  Exit codes: 0 success, 1
-domain failure (machine-readable error object on stdout), 2 malformed
-input; a reader that closes stdout early also gets 1, with nothing on
-stderr.
+validation does not check those types again.  The cyclic collector is
+paused over each job, and the document is written in slices.  Exit
+codes: 0 success, 1 domain failure (machine-readable error object on
+stdout), 2 malformed input; a reader that closes stdout early also gets
+1, with nothing on stderr.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ import os
 import sys
 
 from .errors import DomainError, SchemaViolation
-from .lattice import IntMatrix
+from .lattice import IntMatrix, Monomials
 from . import embed as embed_mod
 from . import git as git_mod
 from . import wps as wps_mod
@@ -109,17 +113,19 @@ def _compact(document) -> tuple[list[str], list[str]]:
 
     A dict is dumped member by member.  When its coordinates are V1 then
     the blocks of V2 (see _layout_groups), the entries of V1 and of each
-    block are dumped once, as one comma-separated text each, and V1, V2
+    block are printed once, as one comma-separated text each, and V1, V2
     and coordinates are all joined from those texts.  coordinates needs
     no scan then: a run of digits in it is a run in V1 or in a block, as
-    no run crosses a comma.  Nothing is copied but into the final join.
+    no run crosses a comma.  A member or group that is Monomials is
+    printed from its exponent columns (_column_entries) and needs no
+    scan either.  Nothing is copied but into the final join.
     """
     if not isinstance(document, dict):
         text = _dumps(document)
         return [text], [text]
     groups = _layout_groups(document)
-    entries = [_dumps(group)[1:-1] for group in groups]
-    scanned = entries[:]
+    entries = [_column_entries(g) if _has_columns(g) else _dumps(g)[1:-1] for g in groups]
+    scanned = [e for e, g in zip(entries, groups) if not _has_columns(g)]
     members = []
     for key, value in document.items():
         if groups and key == "V1":
@@ -128,11 +134,44 @@ def _compact(document) -> tuple[list[str], list[str]]:
             members.append(['"V2":[', *_commas(["[", e, "]"] for e in entries[1:]), "]"])
         elif groups and key == "coordinates":
             members.append(['"coordinates":[', *_commas([e] for e in entries if e), "]"])
+        elif _has_columns(value):
+            name = _dumps(key)
+            members.append([name, ":[", _column_entries(value), "]"])
+            scanned.append(name)
         else:
             text = _dumps({key: value})[1:-1]
             members.append([text])
             scanned.append(text)
     return ["{", *_commas(members), "}"], scanned
+
+
+def _has_columns(value) -> bool:
+    """Whether value is Monomials as lattice._bounded_solutions builds it."""
+    return type(value) is Monomials and hasattr(value, "_columns")
+
+
+# Rows joined per chunk: one join over every row of a large piece holds
+# a list of all the row texts at once.
+_CHUNK_ROWS = 2048
+
+
+def _column_entries(points: Monomials) -> str:
+    """The entries of points as compact JSON, "[a,b],[c,d]", printed from its columns.
+
+    Each exponent is one unsigned 1- or 2-byte item of a column, looked
+    up in a table of the digits of 0..top.  The points come in grlex_key
+    order, so the first has the largest total degree, and top, that
+    degree, bounds every exponent.  The text needs no digit scan: no
+    exponent has more than 5 digits, and no run of digits crosses a comma
+    or a bracket.
+    """
+    columns = points._columns
+    digits = list(map(str, range(sum(points[0]) + 1))).__getitem__
+    # Each chunk carries its own brackets, so the one full-size join is the last.
+    return ",".join([
+        "[" + "],[".join(map(",".join, zip(*[map(digits, c[i : i + _CHUNK_ROWS]) for c in columns]))) + "]"
+        for i in range(0, len(points), _CHUNK_ROWS)
+    ])
 
 
 def _commas(items) -> list[str]:
@@ -520,19 +559,8 @@ def _layout_text(text: str, spans: dict) -> str:
 
 
 def _check_document(arg: str, check):
-    """check(data) for the embedding document arg names, with the cyclic collector paused.
-
-    A decoded document is millions of acyclic containers, and every full
-    collection while it is read and checked would walk them all again.
-    The collector's previous state comes back however the check ends.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return check(_data_from_document(_load_document(arg)))
-    finally:
-        if enabled:
-            gc.enable()
+    """check(data) for the embedding document arg names."""
+    return check(_data_from_document(_load_document(arg)))
 
 
 # ---------------------------------------------------------------------------
@@ -930,14 +958,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Characters per write: writing the whole text at once would encode a
+# second full copy of it in bytes.
+_WRITE_SLICE = 1 << 20
+
+
 def _write(text: str, code: int) -> int:
     """Print text and return code, or 1 with nothing on stderr if the reader left.
 
+    text goes out in slices of _WRITE_SLICE characters, then a newline.
     This is the recipe of the Python docs' note on SIGPIPE: once stdout
     is closed, point it at devnull so the flush at exit cannot fail too.
     """
     try:
-        print(text)
+        write = sys.stdout.write
+        for start in range(0, len(text), _WRITE_SLICE):
+            write(text[start : start + _WRITE_SLICE])
+        write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -946,6 +983,24 @@ def _write(text: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and print its document; return the exit code.
+
+    The cyclic collector is paused over the whole job, from parsing to
+    the write: a job builds up to millions of acyclic containers (the
+    points of a graded piece, a decoded document), and every full
+    collection would walk them all again.  Its previous state comes back
+    however the job ends, an argparse SystemExit included.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _job(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _job(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         document = {"schema": 1, "command": args.command, **args.handler(args)}

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotPolynomial
 from .lattice import (
     BOUNDARY,
     OUTSIDE,
@@ -80,28 +79,6 @@ class StableLocus:
     def contains(self, support: Iterable[int]) -> bool:
         s = set(support)
         return any(set(m) <= s for m in self.minimal_stable_supports)
-
-
-def is_polynomial(W: IntMatrix) -> bool:
-    """Does the action extend to the multiplicative monoid (all weights >= 0)?"""
-    return all(x >= 0 for row in W.entries for x in row)
-
-
-def representation_degree(W: IntMatrix) -> int:
-    """Largest total weight of a coordinate, for a polynomial action.
-
-    Coordinate j transforms by the monomial whose exponents are column j,
-    of total degree equal to the column sum.
-    """
-    for i, row in enumerate(W.entries):
-        for j, x in enumerate(row):
-            if x < 0:
-                raise NotPolynomial(
-                    "a negative weight entry leaves the polynomial regime",
-                    entry=[i, j],
-                    value=x,
-                )
-    return max((sum(W.column(j)) for j in range(W.cols)), default=0)
 
 
 def _normalize_support(support: Iterable[int], n: int) -> tuple[int, ...]:
@@ -198,11 +175,3 @@ def proj_presentation(act: CharacterAction, *, certify_degree: int | None = None
         supp = tuple(j + 1 for j, x in enumerate(e) if x)
         charts.append(ChartReport(e, m, supp, locus.contains(supp)))
     return ProjPresentation(basis, tuple(charts), locus)
-
-
-def stability_power_invariance(act: CharacterAction, power: int) -> bool:
-    """Compare the stable loci for chi and for power * chi."""
-    if not isinstance(power, int) or power < 1:
-        raise ValueError("power must be a positive integer")
-    scaled = CharacterAction(act.matrix, tuple(power * c for c in act.character))
-    return stable_locus(act) == stable_locus(scaled)

@@ -72,7 +72,7 @@ class IntMatrix:
 
     entries: tuple[Vec, ...]
     cols: int
-    _columns: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
+    _by_column: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cols < 1:
@@ -80,7 +80,7 @@ class IntMatrix:
         entries = tuple(_as_vec(row, self.cols, "matrix row") for row in self.entries)
         columns = tuple(zip(*entries)) if entries else ((),) * self.cols
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_by_column", columns)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -96,15 +96,31 @@ class IntMatrix:
         return len(self.entries)
 
     def column(self, j: int) -> Vec:
-        return self._columns[j]
+        return self._by_column[j]
 
     def columns(self) -> tuple[Vec, ...]:
-        return self._columns
+        return self._by_column
 
     def apply(self, e: Sequence[int]) -> Vec:
         if len(e) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(_dot(row, e) for row in self.entries)
+
+
+class Monomials(tuple):
+    """The points of a graded piece, with the exponent columns they were read back from.
+
+    Only _bounded_solutions builds one: _columns holds, for each
+    exponent, a strided memoryview with one unsigned 1- or 2-byte item
+    per point, and cli._compact prints the points straight from it.
+    Being the basis itself, not a field beside it, the columns travel
+    with it into an embed document's V1 and V2 blocks.  Equality,
+    hashing and repr are the tuple's, and a copy or a pickle is a plain
+    tuple, as memoryviews do not pickle.
+    """
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
 
 
 @dataclass(frozen=True)
@@ -232,12 +248,6 @@ def primitive(v: Sequence[int]) -> Vec:
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
-
-
-def lattice_spans(columns: Iterable[Sequence[int]], k: int) -> bool:
-    """Do the given vectors span Q^k?"""
-    cols = [_as_vec(c, k, "column") for c in columns]
-    return matrix_rank(cols) == k
 
 
 @lru_cache(maxsize=65536)
@@ -508,7 +518,10 @@ def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], b
     a time: word i of every key goes into one array("Q"), the keys are
     freed, and each exponent is a strided view of its word's array with
     one item per field.  Where a field sits inside a word is read off one
-    probe word, so either byte order works.
+    probe word, so either byte order works.  With fields of 1 or 2 bytes
+    (every exponent below 65536), a piece with a point comes back as
+    Monomials, which keeps those views as _columns for the CLI to print
+    from; any other piece comes back as a plain tuple.
     """
     rows, pivots, adj, det = _pivot_plan(tuple(cols))
     if len(rows) < len(target) and _rank_cached(tuple(cols) + (target,)) > len(rows):
@@ -586,6 +599,9 @@ def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], b
     elif all(ui >= 0 and ui % det == 0 for ui in start):
         # Every column is a pivot, in order.
         keys.append(_dot(start, pivot_weight) // det)
+    # rec refers to itself through its cell: drop that cycle, which would
+    # hold last and the keys until the next collection.
+    del rec
     keys.sort(reverse=True)
     if not width:
         mask = (1 << size) - 1
@@ -616,7 +632,11 @@ def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], b
     views = [fields(w) for w in words]
     # Exponent j is field n-1-j, counted from the low end of the key.
     columns = [views[f // per_word][at.index(f % per_word)::per_word] for f in range(n - 1, -1, -1)]
-    return tuple(zip(*columns))
+    if width > 2 or not len(words[0]):
+        return tuple(zip(*columns))
+    points = Monomials(zip(*columns))
+    points._columns = tuple(columns)
+    return points
 
 
 def _dominates(x: Sequence[int], found: Iterable[Sequence[int]]) -> bool:

@@ -37,11 +37,11 @@ from orbistack import (
     is_stable_support,
     recover_data,
     section_basis,
-    stability_power_invariance,
     stable_locus,
     verify_immersion,
 )
 from tests import oracles
+from tests.test_git import stability_power_invariance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -5,6 +5,7 @@ emit identical bytes, and the two failure modes keep their exit codes
 apart: 1 for a domain failure with a witness, 2 for malformed input.
 """
 
+import gc
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from orbistack import cli, lattice
+from orbistack import cli, embed, git, lattice, wps
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -456,6 +457,66 @@ def test_shared_parser_leaves_no_state_between_calls(capsys):
     assert cli.build_parser.cache_info().misses == 1
     assert [code for code, _ in in_process] == [2, 0, 0, 2, 2, 0, 0]
     assert in_process == separate
+
+
+@pytest.mark.parametrize("size", [1, 7, 88, 89, 90])
+def test_the_document_is_written_in_slices(capsys, monkeypatch, size):
+    # SECTIONS_P13 is 89 characters with its newline.
+    written = []
+    monkeypatch.setattr(cli, "_WRITE_SLICE", size)
+    monkeypatch.setattr(sys.stdout, "write", lambda text: written.append(text) or len(text))
+    assert cli.main(["sections", "--weights", "1,3", "--degree", "6"]) == 0
+    assert "".join(written) == SECTIONS_P13
+    assert max(map(len, written)) == min(size, 88)
+
+
+# (argv, module and name of the work the handler calls, exit code): one
+# job of each kind of document, a domain failure and an argument error.
+COLLECTOR_JOBS = [
+    (["sections", "--weights", "1,3", "--degree", "6"], wps, "section_basis", 0),
+    (["embed", "--weights", "1,3", "--degree", "1"], embed, "find_embedding_data", 0),
+    (["proj", "--matrix", "1,3", "--chi", "1"], git, "proj_presentation", 0),
+    (["stable-locus", "--matrix", "1,3", "--chi", "1"], git, "stable_locus", 0),
+    (["embed", "--weights", "1,3", "--degree", "0"], embed, "find_embedding_data", 1),
+    (["sections", "--weights", "1,3"], wps, "section_basis", 2),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize(
+    "argv,module,name,code", COLLECTOR_JOBS, ids=[f"{job[0][0]} exit {job[3]}" for job in COLLECTOR_JOBS]
+)
+def test_the_collector_is_paused_over_every_job_and_restored(
+    capsys, monkeypatch, enabled, argv, module, name, code
+):
+    work, print_document = getattr(module, name), cli.emit
+    during, printing = [], []
+    monkeypatch.setattr(module, name, lambda *a, **k: during.append(gc.isenabled()) or work(*a, **k))
+    monkeypatch.setattr(cli, "emit", lambda doc: printing.append(gc.isenabled()) or print_document(doc))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        got = run(capsys, argv)[0]
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (got, after) == (code, enabled)
+    assert during == ([] if code == 2 else [False])
+    assert printing == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_the_collector_comes_back_after_help(capsys, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is enabled
+    assert capsys.readouterr().out.startswith("usage: orbistack")
 
 
 @pytest.mark.parametrize(

