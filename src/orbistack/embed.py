@@ -29,8 +29,8 @@ from .errors import (
 from .lattice import (
     Vec,
     _as_vec,
+    _dominates,
     _dot,
-    _minimal_elements,
     _minimal_supports,
     _row_hnf,
     hilbert_basis,
@@ -195,10 +195,16 @@ def _minimal_in_residue_class(off_weights: Sequence[int], modulus: int, residue:
 
     Subtracting modulus from any single exponent preserves the class, so
     minimal elements have all entries below the modulus; the box search
-    is exhaustive.
+    is exhaustive.  The box comes in lex order, where anything below f
+    comes before it, so f is minimal unless it dominates one kept.
     """
     box = itertools.product(range(modulus), repeat=len(off_weights))
-    return _minimal_elements(f for f in box if _dot(off_weights, f) % modulus == residue)
+    bits = [1 << t for t in range(len(off_weights))]
+    found: dict[int, list[Vec]] = {}
+    for f in (f for f in box if _dot(off_weights, f) % modulus == residue):
+        if not _dominates(f, mask := sum(itertools.compress(bits, f)), found):
+            found.setdefault(mask, []).append(f)
+    return list(itertools.chain.from_iterable(found.values()))
 
 
 def _globally_generated(a: WeightSystem, dprime: int, m0: int, N: int) -> bool:

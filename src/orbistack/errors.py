@@ -31,12 +31,6 @@ class InfiniteSolutionSet(DomainError):
     name = "InfiniteSolutionSet"
 
 
-class NotPolynomial(DomainError):
-    """Some weight entry is negative, so the action does not extend to the monoid."""
-
-    name = "NotPolynomial"
-
-
 class NotDetAmple(DomainError):
     """The requested bundle degree is not det-ample on this weight system."""
 

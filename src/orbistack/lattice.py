@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
-from operator import and_, mul, rshift, sub
+from operator import and_, ge, mul, rshift, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InfiniteSolutionSet, InvariantViolation
@@ -268,8 +268,8 @@ def _quotient_line(t_rows: tuple[Vec, ...], lin: tuple[Vec, ...], k: int) -> Vec
 
 
 @lru_cache(maxsize=1024)
-def _sign_table(columns: tuple[Vec, ...]) -> dict:
-    """Hyperplane sign masks of a column tuple, filled by _facets on first use.
+def _sign_table(columns: tuple[Vec, ...], k: int) -> dict:
+    """Hyperplane sign masks of a column tuple, one per (k - 1)-subset.
 
     Keys are (k - 1)-subsets T of 1-based column indices; the value is
     None when T has rank < k - 1, else (lam_T, pos, neg) with lam_T the
@@ -277,7 +277,8 @@ def _sign_table(columns: tuple[Vec, ...]) -> dict:
     column j) of the columns where lam_T is positive or negative, shared
     by every subset of the columns and every character on the matrix.
     """
-    return {}
+    subsets = itertools.combinations(range(1, len(columns) + 1), k - 1)
+    return {t: _hyperplane(columns, t, k) for t in subsets}
 
 
 @lru_cache(maxsize=65536)
@@ -294,17 +295,13 @@ def _facets(columns: tuple[Vec, ...], s: tuple[int, ...], k: int) -> tuple[Vec, 
     span(T) = span(S) for every T in S of rank k - 1, so the first such
     T decides.  The facets of a spanning cone generate its dual cone.
     """
-    table = _sign_table(columns)
+    table = _sign_table(columns, k)
     mask = 0
     for i in s:
         mask |= 1 << i
     facets = set()
     spans = False
-    for t in itertools.combinations(s, k - 1):
-        try:
-            row = table[t]
-        except KeyError:
-            row = table[t] = _hyperplane(columns, t, k)
+    for row in map(table.__getitem__, itertools.combinations(s, k - 1)):
         if row is None:
             continue
         lam, pos, neg = row
@@ -639,18 +636,14 @@ def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], b
     return points
 
 
-def _dominates(x: Sequence[int], found: Iterable[Sequence[int]]) -> bool:
-    """Is x componentwise at least some element of found?"""
-    return any(all(xi >= mi for xi, mi in zip(x, m)) for m in found)
+def _dominates(x: Vec, mask: int, found: dict[int, list[Vec]]) -> bool:
+    """Is x componentwise at least some vector of found?
 
-
-def _minimal_elements(vectors: Iterable[Sequence[int]]) -> list[Vec]:
-    """Antichain of componentwise-minimal elements, by coordinate sum then lexicographically."""
-    out: list[Vec] = []
-    for v in sorted(set(vectors), key=lambda t: (sum(t), t)):
-        if not _dominates(v, out):
-            out.append(v)
-    return out
+    found maps a support bitmask to the vectors with that support, and
+    mask is the support of x: x can only be at least a vector whose
+    support lies inside its own, so only those buckets are compared.
+    """
+    return any(all(map(ge, x, m)) for bits, group in found.items() if not bits & ~mask for m in group)
 
 
 def _minimal_supports(
@@ -685,10 +678,10 @@ def _minimal_supports(
 def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tuple[Vec, ...]:
     """Componentwise-minimal nonzero solutions of row . x = 0, x >= 0.
 
-    Breadth-first completion: a partial vector x is extended by the unit
-    e_i only when <Ax, A e_i> is negative, and anything dominating a
-    solution already found is pruned.  This terminates with exactly the
-    minimal solutions of the homogeneous system.
+    Breadth-first completion (Contejean and Devie, 1994): x is extended
+    by the unit e_i only when <Ax, A e_i> is negative, and anything
+    dominating a solution found is pruned by _dominates on its support.
+    This terminates with exactly the minimal solutions of the system.
     """
     rows = [tuple(r) for r in rows]
     for r in rows:
@@ -697,13 +690,7 @@ def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tupl
     k = len(rows)
     cols = [tuple(r[j] for r in rows) for j in range(n)]
     zero = (0,) * k
-    # Minimal solutions bucketed by support bitmask: x can only dominate
-    # a solution whose support lies inside its own.
     minimals: dict[int, list[Vec]] = {}
-
-    def dominated(x: Vec, mask: int) -> bool:
-        return any(_dominates(x, group) for bits, group in minimals.items() if not bits & ~mask)
-
     frontier: dict[Vec, tuple[Vec, int]] = {}
     for j in range(n):
         unit = tuple(1 if t == j else 0 for t in range(n))
@@ -713,7 +700,7 @@ def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tupl
         nxt: dict[Vec, tuple[Vec, int]] = {}
         for x, (ax, mask) in frontier.items():
             if ax == zero:
-                if not dominated(x, mask):
+                if not _dominates(x, mask, minimals):
                     minimals.setdefault(mask, []).append(x)
                 continue
             for j in range(n):
@@ -723,7 +710,7 @@ def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tupl
                         continue
                     seen.add(y)
                     ymask = mask | 1 << j
-                    if dominated(y, ymask):
+                    if _dominates(y, ymask, minimals):
                         continue
                     nxt[y] = (tuple(a + b for a, b in zip(ax, cols[j])), ymask)
         frontier = nxt
@@ -791,7 +778,8 @@ def hilbert_basis(
     Each element x only has to dominate some generator g: then x - g is
     a solution of lower degree, already certified (degree 0 holds only
     the zero vector, since the semigroup is pointed), so x decomposes.
-    No element is decomposed.
+    No element is decomposed.  Every degree is >= 1, so _dominates
+    buckets generators by the support of their exponents alone.
     """
     chi_v = _as_vec(chi, W.k, "character")
     if certify_degree is not None and (not isinstance(certify_degree, int) or certify_degree < 0):
@@ -816,10 +804,13 @@ def hilbert_basis(
         bound = certify_degree
         if bound is None:
             bound = 4 * max((m for _, m in gens), default=0)
-        flat = [g + (m,) for g, m in gens]
+        bits = [1 << j for j in range(W.cols)]
+        found: dict[int, list[Vec]] = {}
+        for g, m in gens:
+            found.setdefault(sum(itertools.compress(bits, g)), []).append(g + (m,))
         for mm in range(1, bound + 1):
             for e in graded_sections(W, chi_v, mm).basis:
-                if not _dominates(e + (mm,), flat):
+                if not _dominates(e + (mm,), sum(itertools.compress(bits, e)), found):
                     raise InvariantViolation(
                         "generator completeness failed", degree=mm, monomial=list(e)
                     )

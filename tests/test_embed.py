@@ -9,6 +9,7 @@ computations on small weight systems.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -750,6 +751,25 @@ def test_polytope_normality_walk_depth_is_not_the_recursion_limit():
     # One walk level per weight: a thousand unit weights go a thousand
     # levels deep, and every degree-jD monomial dominates a unit vector.
     assert _polytope_normality(WeightSystem.of((1,) * 1000), 1)
+
+
+def test_minimal_residue_patterns_match_the_box_antichain():
+    # Every residue of seeded off-weights, against the oracle's antichain
+    # of the same box filtered to the class.
+    rng = random.Random(23)
+    sizes = Counter()
+    for i in range(150):
+        width, modulus = i % 5, rng.randint(1, 9)
+        off = tuple(rng.randint(1, 12) for _ in range(width))
+        box = list(itertools.product(range(modulus), repeat=width))
+        for residue in range(modulus):
+            got = embed._minimal_in_residue_class(off, modulus, residue)
+            in_class = [f for f in box if sum(a * b for a, b in zip(off, f)) % modulus == residue]
+            assert len(got) == len(set(got))
+            assert set(got) == oracles.minimal_vectors(in_class), (off, modulus, residue)
+            sizes[min(len(got), 3)] += 1
+    # Empty classes, single patterns and antichains of several.
+    assert min(sizes[0], sizes[1], sizes[3]) >= 50, sizes
 
 
 def test_global_generation_matches_section_oracle():

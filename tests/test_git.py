@@ -16,9 +16,9 @@ from orbistack import (
     CHI_ON_BOUNDARY,
     CHI_OUTSIDE_CONE,
     CharacterAction,
+    DomainError,
     IntMatrix,
     NOT_STABLE,
-    NotPolynomial,
     STABILIZER_INFINITE,
     STABLE,
     is_stable_support,
@@ -40,6 +40,12 @@ def stability_power_invariance(action, power):
         raise ValueError("power must be a positive integer")
     scaled = CharacterAction(action.matrix, tuple(power * c for c in action.character))
     return stable_locus(action) == stable_locus(scaled)
+
+
+class NotPolynomial(DomainError):
+    """Some weight entry is negative, so the action does not extend to the monoid."""
+
+    name = "NotPolynomial"
 
 
 def is_polynomial(W):

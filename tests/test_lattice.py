@@ -329,6 +329,43 @@ def test_minimal_homogeneous_solutions_single_rows_match_brute():
         assert list(got) == sorted(got, key=grlex_key)
 
 
+def test_minimal_homogeneous_solutions_multi_rows_match_brute_in_a_box():
+    # A box cuts out exactly the minimal solutions inside it: anything
+    # below a solution in the box is in the box too.  Each system has a
+    # planted solution (x, 1) with x a 0/1 vector, so none is empty, and
+    # some have minimal solutions past the box.
+    rng = random.Random(29)
+    multi = past = 0
+    for i in range(80):
+        k, n = 2 + i % 2, rng.randint(3, 5)
+        x = [rng.randint(0, 1) for _ in range(n - 1)]
+        heads = [[rng.randint(-2, 2) for _ in range(n - 1)] for _ in range(k)]
+        rows = tuple(tuple(r + [-sum(a * b for a, b in zip(r, x))]) for r in heads)
+        got = minimal_homogeneous_solutions(rows, n)
+        b = 3 if n < 5 else 2
+        inside = {s for s in got if max(s) <= b}
+        assert inside == oracles.brute_minimal_kernel(rows, n, b), rows
+        multi += len(inside) > 1
+        past += len(inside) < len(got)
+    assert multi >= 20 and past >= 5
+
+
+def test_minimal_homogeneous_solutions_on_a_pointed_3x11_action():
+    # The augmented system of the pointed 3x11 action with chi = (2, 1, 0).
+    matrix = (
+        (1, 2, 1, 2, 1, 2, 2, 1, 2, 2, 1),
+        (-1, 2, 2, 1, 2, 1, 1, -1, 2, 2, 2),
+        (0, -2, -2, 0, 1, 2, 1, 1, 1, 2, 0),
+    )
+    rows = tuple(r + (-c,) for r, c in zip(matrix, (2, 1, 0)))
+    got = minimal_homogeneous_solutions(rows, 12)
+    assert len(got) == len(set(got)) == 129
+    assert all(sum(a * b for a, b in zip(r, s)) == 0 for r in rows for s in got)
+    # Pairwise incomparable.
+    assert not any(all(map(int.__le__, s, t)) for s, t in itertools.permutations(got, 2))
+    assert {s for s in got if max(s) <= 1} == oracles.brute_minimal_kernel(rows, 12, 1)
+
+
 def test_minimal_homogeneous_solutions_rejects_row_length_mismatch():
     with pytest.raises(ValueError):
         minimal_homogeneous_solutions(((1, -1),), 3)
