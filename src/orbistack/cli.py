@@ -10,9 +10,10 @@ text holds a run of 16 ASCII digits, found by mapping every digit to 0
 with `str.translate`.  The `coordinates` of an embed document are V1
 then the V2 blocks, and each monomial is printed once: `emit` joins the
 text of `coordinates` from the texts of V1 and the blocks.  A graded
-piece that kept its exponent columns (lattice.Monomials: a `sections`
-basis, V1 or a V2 block) is printed from those columns through a table
-of digit strings, and needs no scan.  The reader
+piece that kept its exponent columns is printed from those columns
+through a table of digit strings, and needs no scan: a `sections` basis
+taken before any point is built (lattice._Columns), and V1 and the V2
+blocks (lattice.Monomials).  The reader
 of `verify` and `recover` reads a compact object member by member with
 the stdlib's C scanner and does not parse `coordinates` whose text is
 that join; any other text is read, and any error worded, by
@@ -37,7 +38,7 @@ import os
 import sys
 
 from .errors import DomainError, SchemaViolation
-from .lattice import IntMatrix, Monomials
+from .lattice import IntMatrix, Monomials, _Columns, _piece
 from . import embed as embed_mod
 from . import git as git_mod
 from . import wps as wps_mod
@@ -71,7 +72,7 @@ def _encode(value, path: str = "$"):
             return str(value)
         except ValueError:
             raise _too_long(path) from None
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, _Columns)):
         return [_encode(v, path) for v in value]
     if isinstance(value, dict):
         return {str(k): _encode(v, f"{path}.{k}") for k, v in value.items()}
@@ -116,9 +117,9 @@ def _compact(document) -> tuple[list[str], list[str]]:
     block are printed once, as one comma-separated text each, and V1, V2
     and coordinates are all joined from those texts.  coordinates needs
     no scan then: a run of digits in it is a run in V1 or in a block, as
-    no run crosses a comma.  A member or group that is Monomials is
-    printed from its exponent columns (_column_entries) and needs no
-    scan either.  Nothing is copied but into the final join.
+    no run crosses a comma.  A member or group that kept its exponent
+    columns is printed from them (_column_entries) and needs no scan
+    either.  Nothing is copied but into the final join.
     """
     if not isinstance(document, dict):
         text = _dumps(document)
@@ -146,8 +147,8 @@ def _compact(document) -> tuple[list[str], list[str]]:
 
 
 def _has_columns(value) -> bool:
-    """Whether value is Monomials as lattice._bounded_solutions builds it."""
-    return type(value) is Monomials and hasattr(value, "_columns")
+    """Whether value is a piece that holds the columns lattice._bounded_solutions read back."""
+    return type(value) in (_Columns, Monomials)
 
 
 # Rows joined per chunk: one join over every row of a large piece holds
@@ -155,22 +156,22 @@ def _has_columns(value) -> bool:
 _CHUNK_ROWS = 2048
 
 
-def _column_entries(points: Monomials) -> str:
-    """The entries of points as compact JSON, "[a,b],[c,d]", printed from its columns.
+def _column_entries(piece: _Columns | Monomials) -> str:
+    """The entries of piece as compact JSON, "[a,b],[c,d]", printed from its columns.
 
-    Each exponent is one unsigned 1- or 2-byte item of a column, looked
-    up in a table of the digits of 0..top.  The points come in grlex_key
-    order, so the first has the largest total degree, and top, that
-    degree, bounds every exponent.  The text needs no digit scan: no
-    exponent has more than 5 digits, and no run of digits crosses a comma
-    or a bracket.
+    No point is built.  Each exponent is one unsigned 1- or 2-byte item
+    of a column, looked up in a table of the digits of 0..top.  The
+    points come in grlex_key order, so the first has the largest total
+    degree, and top, that degree, bounds every exponent.  The text needs
+    no digit scan: no exponent has more than 5 digits, and no run of
+    digits crosses a comma or a bracket.
     """
-    columns = points._columns
-    digits = list(map(str, range(sum(points[0]) + 1))).__getitem__
+    columns = piece._columns
+    digits = list(map(str, range(sum(c[0] for c in columns) + 1))).__getitem__
     # Each chunk carries its own brackets, so the one full-size join is the last.
     return ",".join([
         "[" + "],[".join(map(",".join, zip(*[map(digits, c[i : i + _CHUNK_ROWS]) for c in columns]))) + "]"
-        for i in range(0, len(points), _CHUNK_ROWS)
+        for i in range(0, len(piece), _CHUNK_ROWS)
     ])
 
 
@@ -652,7 +653,8 @@ def _cmd_sections(args) -> dict:
     weights = _parse_weights(args.weights)
     degree = _parse_int(args.degree, "degree")
     basis = wps_mod.section_basis(weights, degree)
-    return {"weights": weights, "degree": degree, "basis": basis.basis}
+    # The basis as read back: emit prints a piece from its columns, with no point built.
+    return {"weights": weights, "degree": degree, "basis": _piece(basis)}
 
 
 def _cmd_hilbert_series(args) -> dict:

@@ -190,21 +190,23 @@ def _polytope_normality(a: WeightSystem, big_degree: int) -> bool:
     return True
 
 
-def _minimal_in_residue_class(off_weights: Sequence[int], modulus: int, residue: int):
-    """Minimal f >= 0 with sum(off_weights[t] f_t) = residue mod modulus.
+def _minimal_residue_patterns(off_weights: Sequence[int], modulus: int) -> list[list[Vec]]:
+    """For each residue r mod modulus, the minimal f >= 0 with sum(off_weights[t] f_t) = r mod modulus.
 
     Subtracting modulus from any single exponent preserves the class, so
-    minimal elements have all entries below the modulus; the box search
-    is exhaustive.  The box comes in lex order, where anything below f
-    comes before it, so f is minimal unless it dominates one kept.
+    minimal elements have all entries below the modulus, and one walk of
+    that box serves every class.  The box comes in lex order, where
+    anything below f comes before it, so f is minimal in its class
+    unless it dominates one kept there.
     """
     box = itertools.product(range(modulus), repeat=len(off_weights))
     bits = [1 << t for t in range(len(off_weights))]
-    found: dict[int, list[Vec]] = {}
-    for f in (f for f in box if _dot(off_weights, f) % modulus == residue):
-        if not _dominates(f, mask := sum(itertools.compress(bits, f)), found):
-            found.setdefault(mask, []).append(f)
-    return list(itertools.chain.from_iterable(found.values()))
+    found: list[dict[int, list[Vec]]] = [{} for _ in range(modulus)]
+    for f in box:
+        kept = found[_dot(off_weights, f) % modulus]
+        if not _dominates(f, mask := sum(itertools.compress(bits, f)), kept):
+            kept.setdefault(mask, []).append(f)
+    return [list(itertools.chain.from_iterable(kept.values())) for kept in found]
 
 
 def _globally_generated(a: WeightSystem, dprime: int, m0: int, N: int) -> bool:
@@ -220,9 +222,10 @@ def _globally_generated(a: WeightSystem, dprime: int, m0: int, N: int) -> bool:
     w = a.weights
     for i, ai in enumerate(w):
         off_w = w[:i] + w[i + 1 :]
+        patterns = _minimal_residue_patterns(off_w, ai)
         for m in range(1, m0 + 1):
             c = (m + N) * dprime
-            if any(_dot(off_w, p) > c for p in _minimal_in_residue_class(off_w, ai, c % ai)):
+            if any(_dot(off_w, p) > c for p in patterns[c % ai]):
                 return False
     return True
 

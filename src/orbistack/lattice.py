@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
-from operator import and_, ge, mul, rshift, sub
+from operator import add, and_, ge, lt, mul, rshift, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InfiniteSolutionSet, InvariantViolation
@@ -107,37 +107,97 @@ class IntMatrix:
         return tuple(_dot(row, e) for row in self.entries)
 
 
-class Monomials(tuple):
-    """The points of a graded piece, with the exponent columns they were read back from.
+class _Columns:
+    """A graded piece as the exponent columns it was read back into, with no point built.
 
     Only _bounded_solutions builds one: _columns holds, for each
     exponent, a strided memoryview with one unsigned 1- or 2-byte item
-    per point, and cli._compact prints the points straight from it.
-    Being the basis itself, not a field beside it, the columns travel
-    with it into an embed document's V1 and V2 blocks.  Equality,
-    hashing and repr are the tuple's, and a copy or a pickle is a plain
-    tuple, as memoryviews do not pickle.
+    per point, the points in grlex_key order.  Its length is the number
+    of points, and iterating builds them one at a time.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns):
+        self._columns = tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[Vec]:
+        return zip(*self._columns)
+
+
+class Monomials(tuple):
+    """The points of a graded piece, with the exponent columns they were read back from.
+
+    Only _points builds one, keeping the _columns of its _Columns, and
+    cli._compact prints the points straight from them.  Being the basis
+    itself, not a field beside it, the columns travel with it into an
+    embed document's V1 and V2 blocks.  Equality, hashing and repr are
+    the tuple's, and a copy or a pickle is a plain tuple, as memoryviews
+    do not pickle.
     """
 
     def __reduce__(self):
         return tuple, (tuple(self),)
 
 
+def _points(piece: _Columns) -> Monomials:
+    """The points of piece, one tuple each: the packaging of a graded piece."""
+    points = Monomials(piece)
+    points._columns = piece._columns
+    return points
+
+
+class _Packaged:
+    """The basis field of GradedSolutionSet: a _Columns is packaged on its first read.
+
+    The instance stores the basis as given, under the field's name.  A
+    caller that prints a piece from its columns reads it with _piece
+    instead, and no point is ever built; any read of basis, equality,
+    hashing and repr included, sees the points.
+    """
+
+    def __get__(self, solutions, owner=None):
+        if solutions is None:
+            raise AttributeError("basis")  # the field has no default
+        basis = _piece(solutions)
+        if type(basis) is _Columns:
+            basis = vars(solutions)["basis"] = _points(basis)
+        return basis
+
+    def __set__(self, solutions, basis):
+        vars(solutions)["basis"] = basis
+
+
+def _piece(solutions: "GradedSolutionSet") -> tuple[Vec, ...] | _Columns:
+    """The basis of solutions as stored: the _Columns of a piece not yet packaged."""
+    return vars(solutions)["basis"]
+
+
 @dataclass(frozen=True)
 class GradedSolutionSet:
-    """All nonnegative integer solutions of one graded piece."""
+    """All nonnegative integer solutions of one graded piece.
+
+    basis may be given as a _Columns, which becomes Monomials when first
+    read (see _Packaged).
+    """
 
     degree: int
-    basis: tuple[Vec, ...]
+    basis: tuple[Vec, ...] = _Packaged()
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return len(_piece(self))
 
     def __iter__(self) -> Iterator[Vec]:
         return iter(self.basis)
 
     def __contains__(self, e) -> bool:
         return tuple(e) in self.basis
+
+    def __reduce__(self):
+        return GradedSolutionSet, (self.degree, self.basis)
 
 
 @dataclass(frozen=True)
@@ -487,7 +547,9 @@ def _pivot_plan(cols: tuple[Vec, ...]) -> tuple[tuple[int, ...], tuple[int, ...]
     return rows, pivots, adj, det
 
 
-def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], budget: int) -> tuple[Vec, ...]:
+def _bounded_solutions(
+    cols: Sequence[Vec], target: Vec, costs: Sequence[int], budget: int
+) -> tuple[Vec, ...] | _Columns:
     """All e >= 0 with sum_j e_j * cols[j] == target, in grlex_key order.
 
     costs[j] > 0 is the value of a strict functional on column j and the
@@ -517,8 +579,10 @@ def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], b
     one item per field.  Where a field sits inside a word is read off one
     probe word, so either byte order works.  With fields of 1 or 2 bytes
     (every exponent below 65536), a piece with a point comes back as
-    Monomials, which keeps those views as _columns for the CLI to print
-    from; any other piece comes back as a plain tuple.
+    _Columns, those views with no point built: the `sections` command
+    prints it from them, and GradedSolutionSet packages it into points
+    only when its basis is read.  Any other piece comes back as a plain
+    tuple.
     """
     rows, pivots, adj, det = _pivot_plan(tuple(cols))
     if len(rows) < len(target) and _rank_cached(tuple(cols) + (target,)) > len(rows):
@@ -631,9 +695,7 @@ def _bounded_solutions(cols: Sequence[Vec], target: Vec, costs: Sequence[int], b
     columns = [views[f // per_word][at.index(f % per_word)::per_word] for f in range(n - 1, -1, -1)]
     if width > 2 or not len(words[0]):
         return tuple(zip(*columns))
-    points = Monomials(zip(*columns))
-    points._columns = tuple(columns)
-    return points
+    return _Columns(columns)
 
 
 def _dominates(x: Vec, mask: int, found: dict[int, list[Vec]]) -> bool:
@@ -679,40 +741,41 @@ def minimal_homogeneous_solutions(rows: Iterable[Sequence[int]], n: int) -> tupl
     """Componentwise-minimal nonzero solutions of row . x = 0, x >= 0.
 
     Breadth-first completion (Contejean and Devie, 1994): x is extended
-    by the unit e_i only when <Ax, A e_i> is negative, and anything
+    by the unit e_j only when <Ax, A e_j> is negative, and anything
     dominating a solution found is pruned by _dominates on its support.
     This terminates with exactly the minimal solutions of the system.
+    Each node carries g = A^T A x rather than Ax: g_j is <Ax, A e_j>, a
+    child adds row j of the Gram matrix A^T A, and g = 0 exactly when
+    Ax = 0, since x . g = |Ax|^2.
     """
     rows = [tuple(r) for r in rows]
     for r in rows:
         if len(r) != n:
             raise ValueError("row length does not match n")
-    k = len(rows)
     cols = [tuple(r[j] for r in rows) for j in range(n)]
-    zero = (0,) * k
+    gram = [tuple(_dot(c, d) for d in cols) for c in cols]
     minimals: dict[int, list[Vec]] = {}
     frontier: dict[Vec, tuple[Vec, int]] = {}
     for j in range(n):
         unit = tuple(1 if t == j else 0 for t in range(n))
-        frontier[unit] = (cols[j], 1 << j)
+        frontier[unit] = (gram[j], 1 << j)
     seen = set(frontier)
     while frontier:
         nxt: dict[Vec, tuple[Vec, int]] = {}
-        for x, (ax, mask) in frontier.items():
-            if ax == zero:
+        for x, (g, mask) in frontier.items():
+            if not any(g):
                 if not _dominates(x, mask, minimals):
                     minimals.setdefault(mask, []).append(x)
                 continue
-            for j in range(n):
-                if _dot(ax, cols[j]) < 0:
-                    y = tuple(v + 1 if t == j else v for t, v in enumerate(x))
-                    if y in seen:
-                        continue
-                    seen.add(y)
-                    ymask = mask | 1 << j
-                    if _dominates(y, ymask, minimals):
-                        continue
-                    nxt[y] = (tuple(a + b for a, b in zip(ax, cols[j])), ymask)
+            for j in itertools.compress(range(n), map(lt, g, itertools.repeat(0))):
+                y = x[:j] + (x[j] + 1,) + x[j + 1 :]
+                if y in seen:
+                    continue
+                seen.add(y)
+                ymask = mask | 1 << j
+                if _dominates(y, ymask, minimals):
+                    continue
+                nxt[y] = (tuple(map(add, g, gram[j])), ymask)
         frontier = nxt
     return sort_monomials(x for group in minimals.values() for x in group)
 

@@ -763,7 +763,7 @@ def test_minimal_residue_patterns_match_the_box_antichain():
         off = tuple(rng.randint(1, 12) for _ in range(width))
         box = list(itertools.product(range(modulus), repeat=width))
         for residue in range(modulus):
-            got = embed._minimal_in_residue_class(off, modulus, residue)
+            got = embed._minimal_residue_patterns(off, modulus)[residue]
             in_class = [f for f in box if sum(a * b for a, b in zip(off, f)) % modulus == residue]
             assert len(got) == len(set(got))
             assert set(got) == oracles.minimal_vectors(in_class), (off, modulus, residue)

@@ -6,7 +6,8 @@ re-exports on purpose), no module sorts with a Python key per monomial
 graded pieces come out in and ``sort_monomials`` puts any other list
 in), no ``_``-prefixed top-level function or class is left unused, the
 CLI's schema tag is built in one place, only the function that reads
-graded pieces back builds ``Monomials`` or sets ``_columns``, every
+graded pieces back builds their ``_Columns`` and only ``_points`` packages
+one as ``Monomials`` (see ``TRUSTED``), every
 source and test file parses as the oldest Python that pyproject.toml
 allows, and importing the CLI leaves ``array`` unloaded.
 """
@@ -146,61 +147,77 @@ def test_the_schema_tag_is_built_once():
     assert len(tags) == 1
 
 
-def column_trust_breaches(sources: dict[str, str]) -> list[str]:
-    """module:line of each Monomials call or _columns binding outside lattice._bounded_solutions.
+# The one place in lattice.py (top-level function or class) where each
+# column carrier may be built and where _columns may be bound: the
+# readback builds a _Columns, which binds its own views, and _points
+# packages it as Monomials, which keep them.
+TRUSTED = {
+    "_Columns": {"_bounded_solutions"},
+    "Monomials": {"_points"},
+    "_columns": {"_Columns", "_points"},
+}
 
-    The CLI prints a Monomials straight from its _columns, with no digit
-    scan, so nothing else may build one or bind its columns.  A binding
-    is a name or attribute _columns stored or deleted, or a setattr or
-    __setattr__ of "_columns".
+
+def column_trust_breaches(sources: dict[str, str]) -> list[str]:
+    """module:line of each column carrier built or _columns bound outside its place in TRUSTED.
+
+    The CLI prints a _Columns or a Monomials straight from its _columns,
+    with no digit scan, so nothing else may build one or bind its
+    columns.  A binding is a name or attribute _columns stored or
+    deleted, or a setattr or __setattr__ of "_columns".
     """
     found = []
     for module, source in sources.items():
         tree = ast.parse(source)
-        allowed = {
-            id(node)
+        owner = {
+            id(node): stmt.name
             for stmt in tree.body
-            if module == "lattice.py" and isinstance(stmt, ast.FunctionDef) and stmt.name == "_bounded_solutions"
+            if module == "lattice.py" and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
             for node in ast.walk(stmt)
         }
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
-                breach = name == "Monomials" or (
-                    name in ("setattr", "__setattr__")
-                    and any(isinstance(a, ast.Constant) and a.value == "_columns" for a in node.args)
-                )
-            elif isinstance(node, (ast.Name, ast.Attribute)):
+                if name in ("setattr", "__setattr__"):
+                    name = "_columns" if any(isinstance(a, ast.Constant) and a.value == "_columns" for a in node.args) else ""
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, (ast.Store, ast.Del)):
                 name = node.id if isinstance(node, ast.Name) else node.attr
-                breach = name == "_columns" and isinstance(node.ctx, (ast.Store, ast.Del))
             else:
                 continue
-            if breach and id(node) not in allowed:
+            if name in TRUSTED and owner.get(id(node)) not in TRUSTED[name]:
                 found.append((module, node.lineno))
     return [f"{module}:{line}" for module, line in sorted(found)]
 
 
 def test_only_the_graded_readback_builds_monomials():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert "Monomials(zip(" in sources["lattice.py"]
+    assert "_Columns(columns)" in sources["lattice.py"] and "Monomials(piece)" in sources["lattice.py"]
     assert column_trust_breaches(sources) == []
 
 
 def test_column_trust_breaches_are_flagged():
-    readback = "def _bounded_solutions():\n    points = Monomials(())\n    points._columns = ()\n"
-    assert column_trust_breaches({"lattice.py": readback}) == []
+    trusted = (
+        "def _bounded_solutions():\n    return _Columns(views)\n"
+        "def _points(piece):\n    points = Monomials(piece)\n    points._columns = piece._columns\n"
+        "class _Columns:\n    def __init__(self, views):\n        self._columns = views\n"
+    )
+    assert column_trust_breaches({"lattice.py": trusted}) == []
     # The same code anywhere else is flagged, line by line.
-    assert column_trust_breaches({"cli.py": readback}) == ["cli.py:2", "cli.py:3"]
-    assert column_trust_breaches({"lattice.py": readback.replace("_bounded", "_other")}) == [
-        "lattice.py:2", "lattice.py:3",
+    assert column_trust_breaches({"cli.py": trusted}) == ["cli.py:2", "cli.py:4", "cli.py:5", "cli.py:8"]
+    # So is each piece of it in lattice.py outside its own place.
+    swapped = trusted.replace("_bounded_solutions", "_tmp").replace("def _points", "def _bounded_solutions")
+    assert column_trust_breaches({"lattice.py": swapped}) == ["lattice.py:2", "lattice.py:4", "lattice.py:5"]
+    assert column_trust_breaches({"lattice.py": trusted.replace("class _Columns", "class _Other")}) == [
+        "lattice.py:8",
     ]
     assert column_trust_breaches({"wps.py": "x = lattice.Monomials(p)"}) == ["wps.py:1"]
+    assert column_trust_breaches({"cli.py": "x = lattice._Columns(views)"}) == ["cli.py:1"]
     assert column_trust_breaches({"a.py": "setattr(p, '_columns', c)"}) == ["a.py:1"]
     assert column_trust_breaches({"a.py": "object.__setattr__(p, '_columns', c)"}) == ["a.py:1"]
     assert column_trust_breaches({"a.py": "class A:\n    _columns = ()"}) == ["a.py:2"]
     assert column_trust_breaches({"a.py": "p._columns += c\ndel p._columns"}) == ["a.py:1", "a.py:2"]
-    # Reading the columns or naming the type is not a breach.
-    assert column_trust_breaches({"cli.py": "c = p._columns\nok = type(p) is Monomials"}) == []
+    # Reading the columns or naming the types is not a breach.
+    assert column_trust_breaches({"cli.py": "c = p._columns\nok = type(p) in (Monomials, _Columns)"}) == []
 
 
 def test_every_file_parses_as_python_3_10():
