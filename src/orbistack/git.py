@@ -14,13 +14,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .lattice import (
-    BOUNDARY,
-    OUTSIDE,
     IntMatrix,
     SemigroupBasis,
     Vec,
     _as_vec,
-    _cone_witness,
     _dot,
     _facets,
     _minimal_supports,
@@ -34,7 +31,6 @@ NOT_STABLE = "NotStable"
 STABILIZER_INFINITE = "StabilizerInfinite"
 CHI_OUTSIDE_CONE = "ChiOutsideCone"
 CHI_ON_BOUNDARY = "ChiOnBoundary"
-_REASONS = {OUTSIDE: CHI_OUTSIDE_CONE, BOUNDARY: CHI_ON_BOUNDARY}
 
 
 @dataclass(frozen=True)
@@ -82,6 +78,16 @@ class StableLocus:
 
 
 def _normalize_support(support: Iterable[int], n: int) -> tuple[int, ...]:
+    # A tuple of ints strictly increasing in 1..n, as stable_locus passes, is canonical.
+    if type(support) is tuple:
+        last = 0
+        for i in support:
+            if type(i) is not int or i <= last:
+                break
+            last = i
+        else:
+            if last <= n:
+                return support
     s = tuple(support)
     for i in s:
         if not isinstance(i, int) or not 1 <= i <= n:
@@ -98,10 +104,10 @@ def is_stable_support(act: CharacterAction, support: Iterable[int]) -> Stability
     nonvanishing there and the lifted orbit is closed).  Supports are
     1-based.
 
-    The facets of cone(S) are read off the action's hyperplane sign
-    table (lattice._facets).  The first facet normal, in sorted order,
-    negative on chi is the ChiOutsideCone witness; failing that, the
-    first vanishing on chi is the ChiOnBoundary witness.
+    One pass over the sorted facets of cone(S), read off the action's
+    sign table (lattice._facets), finds the witness: the first facet
+    negative on chi (ChiOutsideCone), else the first vanishing on it
+    (ChiOnBoundary), which is nonzero on some column of S as S spans.
     """
     s = _normalize_support(support, act.matrix.cols)
     k = act.matrix.k
@@ -116,11 +122,16 @@ def is_stable_support(act: CharacterAction, support: Iterable[int]) -> Stability
         if _dot(lam, act.character) > 0:
             lam = _neg(lam)
         return StabilityCertificate(NOT_STABLE, STABILIZER_INFINITE, lam)
-    # A facet of cone(S) is nonzero on some column of S, hence of the action.
-    position, witness = _cone_witness(facets, act.character, columns)
-    if witness is None:
+    boundary = None
+    for lam in facets:
+        value = _dot(lam, act.character)
+        if value < 0:
+            return StabilityCertificate(NOT_STABLE, CHI_OUTSIDE_CONE, lam)
+        if not value and boundary is None:
+            boundary = lam
+    if boundary is None:
         return StabilityCertificate(STABLE)
-    return StabilityCertificate(NOT_STABLE, _REASONS[position], witness)
+    return StabilityCertificate(NOT_STABLE, CHI_ON_BOUNDARY, boundary)
 
 
 def stable_locus(act: CharacterAction) -> StableLocus:

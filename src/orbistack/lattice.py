@@ -332,10 +332,11 @@ def _sign_table(columns: tuple[Vec, ...], k: int) -> dict:
     """Hyperplane sign masks of a column tuple, one per (k - 1)-subset.
 
     Keys are (k - 1)-subsets T of 1-based column indices; the value is
-    None when T has rank < k - 1, else (lam_T, pos, neg) with lam_T the
-    primitive normal of span(T) and pos, neg the bitmasks (bit j for
-    column j) of the columns where lam_T is positive or negative, shared
-    by every subset of the columns and every character on the matrix.
+    None when T has rank < k - 1, else (lam_T, -lam_T, pos, neg) with
+    lam_T the primitive normal of span(T) and pos, neg the bitmasks (bit
+    j for column j) of the columns where lam_T is positive or negative,
+    shared by every subset of the columns and every character on the
+    matrix.  Both normals are stored so that no support negates one.
     """
     subsets = itertools.combinations(range(1, len(columns) + 1), k - 1)
     return {t: _hyperplane(columns, t, k) for t in subsets}
@@ -364,18 +365,19 @@ def _facets(columns: tuple[Vec, ...], s: tuple[int, ...], k: int) -> tuple[Vec, 
     for row in map(table.__getitem__, itertools.combinations(s, k - 1)):
         if row is None:
             continue
-        lam, pos, neg = row
+        lam, minus, pos, neg = row
         if not mask & (pos | neg):
             return None
         spans = True
         if not mask & neg:
             facets.add(lam)
         elif not mask & pos:
-            facets.add(_neg(lam))
+            facets.add(minus)
     return tuple(sorted(facets)) if spans else None
 
 
-def _hyperplane(columns: tuple[Vec, ...], t: tuple[int, ...], k: int) -> tuple[Vec, int, int] | None:
+def _hyperplane(columns: tuple[Vec, ...], t: tuple[int, ...], k: int) -> tuple[Vec, Vec, int, int] | None:
+    """One _sign_table row: (lam_T, -lam_T, pos, neg), or None when T has rank < k - 1."""
     lam = _quotient_line(tuple(columns[i - 1] for i in t), (), k)
     if lam is None:
         return None
@@ -386,7 +388,7 @@ def _hyperplane(columns: tuple[Vec, ...], t: tuple[int, ...], k: int) -> tuple[V
             pos |= 1 << j
         elif v < 0:
             neg |= 1 << j
-    return lam, pos, neg
+    return lam, _neg(lam), pos, neg
 
 
 def _dual_cone(cols: tuple[Vec, ...], k: int) -> tuple[Vec, ...]:

@@ -105,14 +105,20 @@ def test_is_stable_support_frozen():
 
 def test_support_validation():
     weighted = act([(1, 3)], (1,))
-    with pytest.raises(ValueError):
-        is_stable_support(weighted, (0,))
-    with pytest.raises(ValueError):
-        is_stable_support(weighted, (3,))
-    with pytest.raises(ValueError):
-        is_stable_support(weighted, [1, "a"])
+    for support, entry in [((0,), "0"), ((3,), "3"), ((1, 0), "0"), ((1, 3), "3"),
+                           ([1, "a"], "'a'"), ((1, "a"), "'a'"), ((1.0,), "1.0")]:
+        with pytest.raises(ValueError) as exc:
+            is_stable_support(weighted, support)
+        assert str(exc.value) == f"support entries must lie in 1..2, got {entry}"
     # Duplicate entries collapse to a set.
     assert is_stable_support(weighted, (1, 1)).stable
+    # Canonical supports come back as they are; anything else is sorted
+    # and deduplicated, bool entries kept as given.
+    for support, normalized in [((), ()), ((1, 2), (1, 2)), ((2, 1), (1, 2)), ((1, 1), (1,)),
+                                ([2, 1], (1, 2)), ((i for i in (2, 1)), (1, 2)), ([], ()),
+                                ((True,), (True,)), ((2, True), (True, 2))]:
+        got = git._normalize_support(support, 2)
+        assert got == normalized and list(map(type, got)) == list(map(type, normalized))
 
 
 def test_character_validation():
@@ -237,6 +243,31 @@ def test_sign_table_certificates_match_the_dual_cone_route():
     assert outcomes[STABILIZER_INFINITE] >= 500, outcomes
     assert outcomes[CHI_OUTSIDE_CONE] >= 250, outcomes
     assert outcomes[CHI_ON_BOUNDARY] >= 250, outcomes
+
+
+def test_wide_action_certificates_match_the_dual_cone_route_for_scaled_chi():
+    # Actions of the stability benchmark's shapes: entries in [-2, 2],
+    # distinct nonzero columns.  Every support of at most 2k columns (all
+    # that stable_locus can test) gets the dual-cone route's certificate
+    # for chi and for p * chi, p running through 2..5 support by support.
+    # The 600 cases above stop at 8 columns and never scale chi.
+    rng = random.Random(20261021)
+    outcomes = {STABLE: 0, STABILIZER_INFINITE: 0, CHI_OUTSIDE_CONE: 0, CHI_ON_BOUNDARY: 0}
+    for k, n in ((2, 10), (2, 12), (3, 10), (3, 11)):
+        pool = [c for c in product(range(-2, 3), repeat=k) if any(c)]
+        cols = rng.sample(pool, n)
+        chi = rng.choice(pool)
+        rows = tuple(tuple(c[r] for c in cols) for r in range(k))
+        actions = [CharacterAction(IntMatrix(rows, n), tuple(p * x for x in chi)) for p in range(1, 6)]
+        supports = (s for size in range(2 * k + 1) for s in combinations(range(1, n + 1), size))
+        for i, support in enumerate(supports):
+            for action in (actions[0], actions[1 + i % 4]):
+                cert = is_stable_support(action, support)
+                expected = certificate_by_dual_cone(action, support)
+                assert (cert.verdict, cert.reason, cert.witness) == expected, (action, support)
+            outcomes[cert.reason or cert.verdict] += 1
+    assert sum(outcomes.values()) == 386 + 794 + 848 + 1486
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 def test_stable_locus_frozen():

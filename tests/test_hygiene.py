@@ -4,10 +4,10 @@ No module of the package keeps an import it never uses (``__init__``
 re-exports on purpose), no module sorts with a Python key per monomial
 (``grlex_key`` is the tests' oracle of the canonical order, which
 graded pieces come out in and ``sort_monomials`` puts any other list
-in), no ``_``-prefixed top-level function or class is left unused, the
-CLI's schema tag is built in one place, only the function that reads
-graded pieces back builds their ``_Columns`` and only ``_points`` packages
-one as ``Monomials`` (see ``TRUSTED``), every
+in), no ``_``-prefixed top-level function, class or assignment is left
+unused, the CLI's schema tag is built in one place, only the function
+that reads graded pieces back builds their ``_Columns`` and only
+``_points`` packages one as ``Monomials`` (see ``TRUSTED``), every
 source and test file parses as the oldest Python that pyproject.toml
 allows, and importing the CLI leaves ``array`` unloaded.
 """
@@ -55,18 +55,32 @@ def test_unused_imports_are_flagged():
     assert unused_imports("def f():\n    import json") == []
 
 
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a top-level def, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def orphaned_private_definitions(sources: dict[str, str]) -> list[str]:
-    """module:name of each top-level _-prefixed def or class no other code reads.
+    """module:name of each top-level _-prefixed def, class or assignment no other code reads.
 
     A name counts as read when some module loads it as a name, as an
     attribute or through a from-import, outside its own definition.
+    Dunder names such as __all__ are not private.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     readers: dict[str, set] = {}
     for module, tree in trees.items():
         for stmt in tree.body:
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     names = [node.id]
                 elif isinstance(node, ast.Attribute):
                     names = [node.attr]
@@ -77,12 +91,13 @@ def orphaned_private_definitions(sources: dict[str, str]) -> list[str]:
                 for name in names:
                     readers.setdefault(name, set()).add(id(stmt))
     return [
-        f"{module}:{stmt.name}"
+        f"{module}:{name}"
         for module, tree in trees.items()
         for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and stmt.name.startswith("_")
-        and not readers.get(stmt.name, set()) - {id(stmt)}
+        for name in defined_names(stmt)
+        if name.startswith("_")
+        and not (name.startswith("__") and name.endswith("__"))
+        and not readers.get(name, set()) - {id(stmt)}
     ]
 
 
@@ -103,6 +118,19 @@ def test_orphaned_private_definitions_are_flagged():
     assert orphaned_private_definitions({"a.py": "class _C:\n    def m(self):\n        return _C()"}) == ["a.py:_C"]
     # Nested and public definitions are not checked.
     assert orphaned_private_definitions({"a.py": "def f():\n    def _g(): pass"}) == []
+    # Module-level assignments are checked too, plain, annotated or unpacked.
+    assert orphaned_private_definitions({"a.py": "_R = {1: 2}\nR = 3"}) == ["a.py:_R"]
+    assert orphaned_private_definitions({"a.py": "_N: int = 3\n_a, (_b, c) = 1, (2, 3)\nprint(_a)"}) == [
+        "a.py:_N",
+        "a.py:_b",
+    ]
+    assert orphaned_private_definitions({"a.py": "_R = {}", "b.py": "from .a import _R"}) == []
+    assert orphaned_private_definitions({"a.py": "_R = 1\ndef f():\n    return _R"}) == []
+    # Binding the name again, or reading it only in its own value, is no read.
+    assert orphaned_private_definitions({"a.py": "_R = 1\n_R = 2"}) == ["a.py:_R", "a.py:_R"]
+    assert orphaned_private_definitions({"a.py": "_R = []\n_S = _R\n_S.append(_S)"}) == []
+    assert orphaned_private_definitions({"a.py": "_R = lambda n: _R(n - 1)"}) == ["a.py:_R"]
+    assert orphaned_private_definitions({"a.py": "__all__ = []\n__version__ = '1'"}) == []
 
 
 def sorts_keyed_by(source: str, name: str) -> list[int]:
