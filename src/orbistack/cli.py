@@ -14,17 +14,18 @@ piece that kept its exponent columns is printed from those columns
 through a table of digit strings, and needs no scan: a `sections` basis
 taken before any point is built (lattice._Columns), and V1 and the V2
 blocks (lattice.Monomials).  The reader
-of `verify` and `recover` reads a compact object member by member with
-the stdlib's C scanner and does not parse `coordinates` whose text is
-that join; any other text is read, and any error worded, by
-`json.loads`.  Documents read back are checked array by array in bulk,
-and only an array that fails the bulk check is decoded entry by entry to
-name the offending path; the decoded data is marked so that structure
-validation does not check those types again.  The cyclic collector is
-paused over each job, and the document is written in slices.  Exit
-codes: 0 success, 1 domain failure (machine-readable error object on
-stdout), 2 malformed input; a reader that closes stdout early also gets
-1, with nothing on stderr.
+of `verify` and `recover` reads an object member by member with the
+stdlib's C scanner when it is compact or in Python's default layout
+(", " and ": ", as `json.dumps(doc)` writes it), and does not parse
+`coordinates` whose text is that join in the same layout; any other
+text is read, and any error worded, by `json.loads`.  Documents read
+back are checked array by array in bulk, and only an array that fails
+the bulk check is decoded entry by entry to name the offending path;
+the decoded data is marked so that structure validation does not check
+those types again.  The cyclic collector is paused over each job, and
+the document is written in slices.  Exit codes: 0 success, 1 domain
+failure (machine-readable error object on stdout), 2 malformed input; a
+reader that closes stdout early also gets 1, with nothing on stderr.
 """
 from __future__ import annotations
 
@@ -118,26 +119,34 @@ def _compact(document) -> tuple[list[str], list[str]]:
     and coordinates are all joined from those texts.  coordinates needs
     no scan then: a run of digits in it is a run in V1 or in a block, as
     no run crosses a comma.  A member or group that kept its exponent
-    columns is printed from them (_column_entries) and needs no scan
-    either.  Nothing is copied but into the final join.
+    columns is printed from them (_column_entries), in chunks spliced
+    into the final join, and needs no scan either.  Nothing is copied
+    but into the final join.
     """
     if not isinstance(document, dict):
         text = _dumps(document)
         return [text], [text]
     groups = _layout_groups(document)
-    entries = [_column_entries(g) if _has_columns(g) else _dumps(g)[1:-1] for g in groups]
-    scanned = [e for e, g in zip(entries, groups) if not _has_columns(g)]
+    entries, scanned = [], []
+    for g in groups:
+        if _has_columns(g):
+            entries.append(_column_entries(g))
+        else:
+            text = _dumps(g)[1:-1]
+            entries.append([text])
+            scanned.append(text)
     members = []
     for key, value in document.items():
         if groups and key == "V1":
-            members.append(['"V1":[', entries[0], "]"])
+            members.append(['"V1":[', *entries[0], "]"])
         elif groups and key == "V2":
-            members.append(['"V2":[', *_commas(["[", e, "]"] for e in entries[1:]), "]"])
+            members.append(['"V2":[', *_commas(["[", *e, "]"] for e in entries[1:]), "]"])
         elif groups and key == "coordinates":
-            members.append(['"coordinates":[', *_commas([e] for e in entries if e), "]"])
+            nonempty = (e for e, g in zip(entries, groups) if g)
+            members.append(['"coordinates":[', *_commas(nonempty), "]"])
         elif _has_columns(value):
             name = _dumps(key)
-            members.append([name, ":[", _column_entries(value), "]"])
+            members.append([name, ":[", *_column_entries(value), "]"])
             scanned.append(name)
         else:
             text = _dumps({key: value})[1:-1]
@@ -156,10 +165,12 @@ def _has_columns(value) -> bool:
 _CHUNK_ROWS = 2048
 
 
-def _column_entries(piece: _Columns | Monomials) -> str:
-    """The entries of piece as compact JSON, "[a,b],[c,d]", printed from its columns.
+def _column_entries(piece: _Columns | Monomials) -> list[str]:
+    """Texts that join to the entries of piece as compact JSON, "[a,b],[c,d]".
 
-    No point is built.  Each exponent is one unsigned 1- or 2-byte item
+    They are printed from piece's columns, with no point built: one text
+    per _CHUNK_ROWS entries and a comma between texts, left for the
+    caller's one join.  Each exponent is one unsigned 1- or 2-byte item
     of a column, looked up in a table of the digits of 0..top.  The
     points come in grlex_key order, so the first has the largest total
     degree, and top, that degree, bounds every exponent.  The text needs
@@ -168,11 +179,10 @@ def _column_entries(piece: _Columns | Monomials) -> str:
     """
     columns = piece._columns
     digits = list(map(str, range(sum(c[0] for c in columns) + 1))).__getitem__
-    # Each chunk carries its own brackets, so the one full-size join is the last.
-    return ",".join([
-        "[" + "],[".join(map(",".join, zip(*[map(digits, c[i : i + _CHUNK_ROWS]) for c in columns]))) + "]"
-        for i in range(0, len(piece), _CHUNK_ROWS)
-    ])
+    starts = range(0, len(piece), _CHUNK_ROWS)
+    chunks = (zip(*[map(digits, c[i : i + _CHUNK_ROWS]) for c in columns]) for i in starts)
+    # Each chunk carries its own brackets, so no full-size text is made here.
+    return _commas(["[" + "],[".join(map(",".join, rows)) + "]"] for rows in chunks)
 
 
 def _commas(items) -> list[str]:
@@ -496,31 +506,33 @@ _scan_once = json.JSONDecoder().scan_once
 
 
 def _read_compact(text: str) -> dict:
-    """json.loads(text) of a compact JSON object with distinct keys, read member by member.
+    """json.loads(text) of an object with distinct keys in one layout, read member by member.
 
-    Each member value is read by the stdlib's C scanner, V2 block by
-    block, so that the span of V1 and of each block is known.  The text
-    of coordinates is not parsed when it is the entries of V1 and of each
-    block joined into one array, which is how emit writes it; it reads
-    as _LAYOUT.  Any other text raises ValueError, StopIteration,
-    IndexError or RecursionError: whitespace between members, a repeated
+    The layout is compact, as emit writes it, or Python's default, with
+    ", " and ": " as json.dumps(doc) writes it; the first colon says
+    which, and every separator between members and between V2's blocks
+    must then be that layout's.  Each member value is read by the
+    stdlib's C scanner, V2 block by block, so that the span of V1 and of
+    each block is known.  The text of coordinates is not parsed when it
+    is the entries of V1 and of each block joined into one array with
+    the layout's comma; it reads as _LAYOUT.  Any other text raises
+    ValueError, StopIteration, IndexError or RecursionError: a separator
+    of the other layout or other whitespace between members, a repeated
     key, trailing text other than whitespace, or text json.loads refuses.
     """
-    if text[0] != "{":
+    if text[:2] != '{"':
         raise ValueError("not an object")
     doc = {}
     spans = {}
-    idx, sep = 0, ","
-    while sep == ",":
-        if text[idx + 1] != '"':
-            raise ValueError("not a key")
-        key, idx = _scan_once(text, idx + 1)
-        if key in doc or text[idx] != ":":
-            raise ValueError("a repeated key or no colon")
-        idx += 1
-        layout = _layout_text(text, spans) if key == "coordinates" else ""
+    key, idx = _scan_once(text, 1)
+    colon, comma = (": ", ", ") if text.startswith(": ", idx) else (":", ",")
+    while True:
+        if key in doc or not text.startswith(colon, idx):
+            raise ValueError("a repeated key or another colon")
+        idx += len(colon)
+        layout = _layout_text(text, spans, comma) if key == "coordinates" else ""
         if key == "V2" and text[idx] == "[":
-            value, spans["V2"], idx = _read_blocks(text, idx)
+            value, spans["V2"], idx = _read_blocks(text, idx, comma)
         elif layout and text.startswith(layout, idx):
             value, idx = _LAYOUT, idx + len(layout)
         else:
@@ -528,35 +540,41 @@ def _read_compact(text: str) -> dict:
             value, idx = _scan_once(text, idx)
             spans[key] = [(start, idx)]
         doc[key] = value
-        sep = text[idx]
-    if sep != "}" or text[idx + 1 :].strip(" \t\n\r"):
+        if not text.startswith(comma, idx):
+            break
+        idx += len(comma)
+        if text[idx] != '"':
+            raise ValueError("not a key")
+        key, idx = _scan_once(text, idx)
+    if text[idx] != "}" or text[idx + 1 :].strip(" \t\n\r"):
         raise ValueError("extra data")
     return doc
 
 
-def _read_blocks(text: str, idx: int) -> tuple[list, list, int]:
+def _read_blocks(text: str, idx: int, comma: str) -> tuple[list, list, int]:
     """The array that starts at text[idx], the span of each entry, and the end."""
     blocks, spans = [], []
     if text[idx + 1] == "]":
         return blocks, spans, idx + 2
-    sep = ","
-    while sep == ",":
-        start = idx + 1
+    start = idx + 1
+    while True:
         block, idx = _scan_once(text, start)
         blocks.append(block)
         spans.append((start, idx))
-        sep = text[idx]
-    if sep != "]":
-        raise ValueError("no comma")
+        if not text.startswith(comma, idx):
+            break
+        start = idx + len(comma)
+    if text[idx] != "]":
+        raise ValueError("another comma")
     return blocks, spans, idx + 1
 
 
-def _layout_text(text: str, spans: dict) -> str:
+def _layout_text(text: str, spans: dict, comma: str) -> str:
     """The entries of V1 and of each V2 block joined into one array; "" unless all are arrays."""
     groups = spans["V1"] + spans["V2"] if "V1" in spans and "V2" in spans else []
     if not groups or any(text[s] != "[" for s, _ in groups):
         return ""
-    return "[" + ",".join(text[s + 1 : e - 1] for s, e in groups if e - s > 2) + "]"
+    return "[" + comma.join(text[s + 1 : e - 1] for s, e in groups if e - s > 2) + "]"
 
 
 def _check_document(arg: str, check):

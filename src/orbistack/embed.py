@@ -13,9 +13,10 @@ and recovery reads the data back off the map.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
-from operator import add, contains, eq, gt, is_, itemgetter, mul, or_, sub
+from operator import add, contains, eq, gt, is_, itemgetter, le, mul, not_, or_, sub
 from typing import Sequence
 
 from .errors import (
@@ -434,7 +435,9 @@ def _multiset_reaches(e: Vec, m: int, off: tuple[int, ...], per_block) -> bool:
     """Can block elements with degrees summing to m fit under e off-chart?
 
     Blocks are scanned in nonincreasing degree so each multiset is tried
-    once; failures are memoized on the residual state.
+    once; failures are memoized on the residual state.  per_block holds
+    each block's projections sorted, so only the prefix whose first entry
+    is at most the cap's can fit, and the scan stops there.
     """
     failed: set[tuple[int, tuple[int, ...], int]] = set()
 
@@ -445,14 +448,25 @@ def _multiset_reaches(e: Vec, m: int, off: tuple[int, ...], per_block) -> bool:
         if key in failed:
             return False
         for mb in range(min(max_block, m_rem), 0, -1):
-            for proj in per_block[mb - 1]:
-                if all(p <= c for p, c in zip(proj, cap)):
-                    if rec(m_rem - mb, tuple(c - p for c, p in zip(cap, proj)), mb):
-                        return True
+            projs = per_block[mb - 1]
+            if cap:
+                projs = projs[: bisect_left(projs, (cap[0] + 1,))]
+            for proj in projs:
+                if all(map(le, proj, cap)) and rec(m_rem - mb, tuple(map(sub, cap, proj)), mb):
+                    return True
         failed.add(key)
         return False
 
     return rec(m, tuple(e[j] for j in off), len(per_block))
+
+
+def _projections(block, off: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct off-support parts of block's monomials, sorted."""
+    if not off:
+        return [()] if block else []
+    projs = map(itemgetter(*off), block)
+    # itemgetter of one index gives the entry itself, not a 1-tuple.
+    return sorted(set(zip(projs) if len(off) == 1 else projs))
 
 
 def _check_chart_generation(data: EmbeddingData) -> tuple[ChartCheck, ...]:
@@ -471,23 +485,25 @@ def _check_chart_generation(data: EmbeddingData) -> tuple[ChartCheck, ...]:
     off-support: the check runs once per off-support, in order of first
     appearance in V1, trying that shortcut with the first chart of the
     class, and a failure names that chart, the first one in V1 that
-    fails.  The blocks are projected onto an off-support when a search
-    first needs them.
+    fails.  The classes are V1's zero patterns, read column by column;
+    the blocks are projected onto an off-support when a search first
+    needs them.
     """
     generators = hilbert_basis(data.source.matrix(), (data.dprime,), certify=False).generators
     block_sets = [set(block) for block in data.V2_blocks]
-    classes: dict[tuple[int, ...], Vec] = {}
-    for s in data.V1:
-        classes.setdefault(tuple(j for j, x in enumerate(s) if not x), s)
-    for off, s in classes.items():
+    V1 = data.V1
+    patterns = list(zip(*[map(not_, column) for column in zip(*V1)]))
+    # Read backwards, the first chart of each pattern is the last one stored.
+    first = dict(zip(patterns[::-1], V1[::-1]))
+    positions = range(len(data.source.weights))
+    for pattern in dict.fromkeys(patterns):
+        s, off = first[pattern], tuple(itertools.compress(positions, pattern))
         per_block = None
         for e, m in generators:
             if 1 <= m <= len(block_sets) and tuple(map(add, e, s)) in block_sets[m - 1]:
                 continue
             if per_block is None:
-                per_block = [
-                    sorted({tuple(v[j] for j in off) for v in block}) for block in data.V2_blocks
-                ]
+                per_block = [_projections(block, off) for block in data.V2_blocks]
             if not _multiset_reaches(e, m, off, per_block):
                 raise ChartGenerationFailed(
                     "chart sections are not generated by the designated coordinates",
@@ -495,7 +511,7 @@ def _check_chart_generation(data: EmbeddingData) -> tuple[ChartCheck, ...]:
                     monomial=list(e),
                     degree=m,
                 )
-    return tuple(ChartCheck(s, len(generators)) for s in data.V1)
+    return tuple(ChartCheck(s, len(generators)) for s in V1)
 
 
 def _fits(data: EmbeddingData, dprime: int) -> list[bool]:
@@ -531,22 +547,27 @@ def _lattice_index(s_idx, weights_a, members, settled=False) -> int:
     vanishes on every generator.  Returns 0 for infinite index or an image
     not contained in the relation lattice.
 
-    Rows are reduced STRATUM_CHUNK at a time, carrying only the running
-    Hermite basis.  settled says that every member satisfies a_S.v = d'w
-    for one d'.  Every row then lies in {(w, v) : a_S.v = d'w}, whose
-    weight-0 part is 0 x ker(a_S), so once the weight-0 rows reduced so far
-    fill ker(a_S) with index 1, no further row can change the index and
-    the rest is never reduced.
+    Rows are reduced in chunks, carrying only the running Hermite basis:
+    first |S| + 2 rows, one more than the basis can hold, then
+    STRATUM_CHUNK at a time.  On genuine data the first few rows usually
+    fill the lattice already, and the test below then stops before a
+    full chunk is reduced.  settled says that every member satisfies
+    a_S.v = d'w for one d'.  Every row then lies in {(w, v) : a_S.v =
+    d'w}, whose weight-0 part is 0 x ker(a_S), so once the weight-0 rows
+    reduced so far fill ker(a_S) with index 1, no further row can change
+    the index and the rest is never reduced.
     """
     weight_row = [weights_a[j] for j in s_idx]
     kernel = integer_kernel([weight_row], len(s_idx))
     rows = ([wt] + [vec[j] for j in s_idx] for wt, vec in members)
     basis: list[list[int]] = []
-    while chunk := list(itertools.islice(rows, STRATUM_CHUNK)):
+    size = len(s_idx) + 2
+    while chunk := list(itertools.islice(rows, size)):
         basis, rank = _row_hnf(basis + chunk)
         del basis[rank:]
         if settled and _image_index(basis, weight_row, kernel) == 1:
             return 1
+        size = STRATUM_CHUNK
     return _image_index(basis, weight_row, kernel)
 
 

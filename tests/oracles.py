@@ -4,12 +4,13 @@ Everything here recomputes package results by a different route: ranks
 via Fraction Gaussian elimination, lattice membership via minor gcds,
 solution sets via box enumeration, dual cones via one Fraction kernel
 per subset of columns, stability via bounded search over
-one-parameter subgroups, chart generation via literal multiset search,
-normality via the literal decomposition scan, global generation via
-whole section spaces, the canonical monomial order via one keyed sort,
-canonical JSON via a full copy of the document, recovery by grouping
-coordinates into weight classes, base loci by walking every support,
-minimal supports by a scan over the supports found so far.
+one-parameter subgroups, chart generation via literal multiset search
+and via a scan of every projection of every block, normality via the
+literal decomposition scan, global generation via whole section spaces,
+the canonical monomial order via one keyed sort, canonical JSON via a
+full copy of the document, recovery by grouping coordinates into weight
+classes, base loci by walking every support, minimal supports by a scan
+over the supports found so far.
 Slow and obvious on purpose; nothing imports from the package.
 """
 
@@ -316,6 +317,55 @@ def chart_generated(e, m, chart, blocks) -> bool:
         return False
 
     return rec(m, tuple(e[j] for j in off))
+
+
+def multiset_reaches_by_scan(e, m, off, per_block) -> bool:
+    """The chart search with every projection of every block tried.
+
+    Blocks in nonincreasing degree, failures memoized on the residual
+    state, as the package's search does; only the cut of each block's
+    sorted projections at the cap is missing.
+    """
+    failed = set()
+
+    def rec(m_rem, cap, max_block):
+        if m_rem == 0:
+            return True
+        key = (m_rem, cap, max_block)
+        if key in failed:
+            return False
+        for mb in range(min(max_block, m_rem), 0, -1):
+            for proj in per_block[mb - 1]:
+                if all(p <= c for p, c in zip(proj, cap)):
+                    if rec(m_rem - mb, tuple(c - p for c, p in zip(cap, proj)), mb):
+                        return True
+        failed.add(key)
+        return False
+
+    return rec(m, tuple(e[j] for j in off), len(per_block))
+
+
+def chart_failure_by_scan(V1, blocks, generators):
+    """The witness of the first chart V1's blocks fail to generate, or None.
+
+    Charts are grouped by their zero exponents in order of first
+    appearance, each group tried with its first chart, and the blocks
+    projected by set comprehension and searched in full.
+    """
+    block_sets = [set(block) for block in blocks]
+    classes = {}
+    for s in V1:
+        classes.setdefault(tuple(j for j, x in enumerate(s) if not x), s)
+    for off, s in classes.items():
+        per_block = None
+        for e, m in generators:
+            if 1 <= m <= len(blocks) and tuple(x + y for x, y in zip(e, s)) in block_sets[m - 1]:
+                continue
+            if per_block is None:
+                per_block = [sorted({tuple(v[j] for j in off) for v in block}) for block in blocks]
+            if not multiset_reaches_by_scan(e, m, off, per_block):
+                return {"chart": list(s), "monomial": list(e), "degree": m}
+    return None
 
 
 def stratum_separated(weights, support, members) -> bool:

@@ -855,6 +855,59 @@ def test_chart_projection_once_per_support(monkeypatch):
     assert_once_per_support(data)
 
 
+def test_chart_search_matches_the_full_scan_and_the_literal_search():
+    # Seeded documents that each lose one random block element.  The whole
+    # check must fail with the witness of the full scan it replaced, or
+    # pass where that passes.  On every chart class and generator, the
+    # search cut at the cap agrees with the full scan and with the literal
+    # search, over full-support charts (off = ()) and one-index
+    # off-supports too.
+    rng = random.Random(26)
+    systems = [
+        ((1, 1), 2),
+        ((2, 3), 1),
+        ((1, 3), 2),
+        ((1, 1, 2), 1),
+        ((1, 2, 3), 1),
+        ((2, 3, 5), 1),
+        ((1, 2, 3, 4), 1),
+    ]
+    seen = Counter()
+    for weights, dprime in systems:
+        data = find_embedding_data(weights, dprime)
+        generators = hilbert_basis(data.source.matrix(), (dprime,), certify=False).generators
+        charts = {}
+        for s in data.V1:
+            charts.setdefault(tuple(j for j, x in enumerate(s) if not x), s)
+        for _ in range(40):
+            blocks = list(data.V2_blocks)
+            m = rng.choice([m for m, block in enumerate(blocks) if block])
+            drop = rng.randrange(len(blocks[m]))
+            blocks[m] = blocks[m][:drop] + blocks[m][drop + 1 :]
+            blocks = tuple(blocks)
+            expected = oracles.chart_failure_by_scan(data.V1, blocks, generators)
+            try:
+                embed._check_chart_generation(with_blocks(data, blocks))
+            except ChartGenerationFailed as err:
+                assert err.witness == expected
+            else:
+                assert expected is None
+            seen["fails" if expected else "passes"] += 1
+            for off, chart in charts.items():
+                per_block = [embed._projections(block, off) for block in blocks]
+                for e, m in generators:
+                    verdict = embed._multiset_reaches(e, m, off, per_block)
+                    assert verdict == oracles.multiset_reaches_by_scan(e, m, off, per_block)
+                    assert verdict == oracles.chart_generated(e, m, chart, blocks)
+                    seen[min(len(off), 2), verdict] += 1
+    assert seen["fails"] >= 50 and seen["passes"] >= 50
+    # Off one or more indices both verdicts occur.  A full-support chart
+    # fails only when a block is left empty, which losing one element
+    # of these blocks never does.
+    assert all(seen[size, verdict] >= 20 for size in (1, 2) for verdict in (True, False)), seen
+    assert seen[0, True] >= 100
+
+
 def test_recovery_reads_the_validated_layout():
     # recover_data reads N, m0, V1 and the blocks off the layout that
     # structure validation has fixed.  The weight-class reading of the
