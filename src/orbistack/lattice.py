@@ -5,16 +5,14 @@ nonnegative integer vector: single graded pieces, the semigroup of all
 pairs ``(e, m)``, and the rational cone geometry (spans, dual cones,
 relative interiors) that decides finiteness and stability questions.
 
-All arithmetic is exact.  Python integers are unbounded, so there is no
-overflow to guard against; Fraction appears only where rational input
-does (cone classification).
+All arithmetic is exact and integral.  Python integers are unbounded, so
+there is no overflow to guard against, and no rational number is formed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 from operator import add, and_, ge, lt, mul, rshift, sub
@@ -23,10 +21,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import InfiniteSolutionSet, InvariantViolation
 
 Vec = tuple[int, ...]
-
-OUTSIDE = "outside"
-BOUNDARY = "boundary"
-RELATIVE_INTERIOR = "relative_interior"
 
 
 def grlex_key(e: Sequence[int]):
@@ -392,11 +386,12 @@ def _hyperplane(columns: tuple[Vec, ...], t: tuple[int, ...], k: int) -> tuple[V
 
 
 def _dual_cone(cols: tuple[Vec, ...], k: int) -> tuple[Vec, ...]:
-    """dual_cone_generators on validated input: length-k integer columns.
+    """Generators of {lam : lam . c >= 0 for every column c}; length-k integer columns.
 
-    Spanning columns take the facet normals of their cone (see _facets);
-    others the lineality space ker(cols) with both signs, plus the edges
-    cut out by (r - 1)-subsets of the distinct nonzero columns, r the rank.
+    The list may be redundant but always generates.  Spanning columns take
+    the facet normals of their cone (see _facets); others the lineality
+    space ker(cols) with both signs, plus the edges cut out by
+    (r - 1)-subsets of the distinct nonzero columns, r the rank.
     """
     if k == 0:
         return ()
@@ -415,70 +410,6 @@ def _dual_cone(cols: tuple[Vec, ...], k: int) -> tuple[Vec, ...]:
         elif all(_dot(v, c) <= 0 for c in rows):
             gens.add(_neg(v))
     return tuple(sorted(gens))
-
-
-def dual_cone_generators(columns: Iterable[Sequence[int]], k: int) -> tuple[Vec, ...]:
-    """Generators of {lam : lam . c >= 0 for every column c}.
-
-    The list contains the lineality space of the dual cone with both signs
-    plus one representative per extreme edge; it may be redundant but it
-    always generates.
-    """
-    return _dual_cone(tuple(_as_vec(c, k, "column") for c in columns), k)
-
-
-@dataclass(frozen=True)
-class ConePosition:
-    """Where a vector sits relative to the cone spanned by given columns.
-
-    ``witness`` is a dual-cone generator: strictly negative on the vector
-    when outside, vanishing on it (but not on the whole cone) when on the
-    boundary, and None in the relative interior.
-    """
-
-    position: str
-    full_dim: bool
-    witness: Vec | None
-
-
-def _integerize(chi: Sequence) -> Vec:
-    """Scale a rational vector by a positive integer to make it integral."""
-    if all(isinstance(x, int) for x in chi):
-        return tuple(chi)
-    fracs = [Fraction(x) for x in chi]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return tuple(int(f * den) for f in fracs)
-
-
-def cone_position(chi: Sequence, columns: Iterable[Sequence[int]]) -> ConePosition:
-    """Classify chi against the cone generated by the columns.
-
-    Positive rescaling of chi does not change the answer, so rational
-    input is cleared to integers first.
-    """
-    chi_int = _integerize(chi)
-    k = len(chi_int)
-    cols = tuple(_as_vec(c, k, "column") for c in columns)
-    position, witness = _cone_witness(_dual_cone(cols, k), chi_int, cols)
-    return ConePosition(position, _rank_cached(cols) == k, witness)
-
-
-def _cone_witness(gens: Sequence[Vec], chi: Vec, cols: Sequence[Vec]) -> tuple[str, Vec | None]:
-    """Position of chi against cone(cols) and its witness, from dual cone generators.
-
-    The first generator negative on chi is the OUTSIDE witness; failing
-    that, the first vanishing on chi but not on every column is the
-    BOUNDARY one.
-    """
-    for lam in gens:
-        if _dot(lam, chi) < 0:
-            return OUTSIDE, lam
-    for lam in gens:
-        if not _dot(lam, chi) and any(_dot(lam, c) for c in cols):
-            return BOUNDARY, lam
-    return RELATIVE_INTERIOR, None
 
 
 def positive_functional(columns: Iterable[Sequence[int]], k: int) -> Vec | None:

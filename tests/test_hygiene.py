@@ -9,13 +9,16 @@ unused, the CLI's schema tag is built in one place, only the function
 that reads graded pieces back builds their ``_Columns`` and only
 ``_points`` packages one as ``Monomials`` (see ``TRUSTED``), every
 source and test file parses as the oldest Python that pyproject.toml
-allows, and importing the CLI leaves ``array`` unloaded.
+allows, ``orbistack.__all__`` lists every public name ``__init__``
+imports, once each and each resolving, and importing the CLI leaves
+``array``, ``fractions`` and ``decimal`` unloaded.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -263,11 +266,84 @@ def test_syntax_past_python_3_10_is_flagged():
         ast.parse(newer, feature_version=(3, 10))
 
 
-def test_cli_start_up_leaves_array_unimported():
-    # lattice imports array inside the one function that reads graded
-    # pieces back, so a CLI run that never enumerates one does not load it.
+# Modules a CLI start-up does not need: lattice imports array inside the
+# one function that reads graded pieces back, so a run that never
+# enumerates one does not load it, and no module of the package uses
+# fractions or decimal (which brings in _decimal and numbers).
+UNNEEDED_AT_START_UP = ("array", "fractions", "decimal", "_decimal", "numbers")
+
+
+def test_cli_start_up_leaves_array_fractions_and_decimal_unimported():
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = "import sys, orbistack, orbistack.cli; print('array' in sys.modules)"
+    # The probe runs again after importing the modules itself, so it is
+    # seen to flag each one it looks for.
+    code = (
+        "import sys, orbistack, orbistack.cli\n"
+        f"names = {UNNEEDED_AT_START_UP!r}\n"
+        "print([m for m in names if m in sys.modules])\n"
+        "import array, decimal, fractions\n"
+        "print([m for m in names if m in sys.modules])\n"
+    )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    loaded = f"{list(UNNEEDED_AT_START_UP)}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n" + loaded, "")
+
+
+def export_faults(source: str, namespace: dict) -> list[str]:
+    """Faults of a package's __all__, given its __init__ source and its namespace.
+
+    A name listed twice, a listed name the namespace does not hold, and a
+    public name a module-level import of the source binds but __all__
+    does not list are each one fault.
+    """
+    listed = namespace.get("__all__", [])
+    faults = [f"listed twice: {name}" for name, n in Counter(listed).items() if n > 1]
+    faults += [f"does not resolve: {name}" for name in listed if name not in namespace]
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        faults += [f"not listed: {name}" for name in bound if not name.startswith("_") and name not in listed]
+    return faults
+
+
+def test_every_export_is_listed_once_and_resolves():
+    import orbistack
+
+    source = (PACKAGE / "__init__.py").read_text()
+    assert len(orbistack.__all__) >= 50
+    assert export_faults(source, vars(orbistack)) == []
+
+
+def planted_faults(source: str) -> list[str]:
+    namespace: dict = {}
+    exec(source, namespace)
+    return export_faults(source, namespace)
+
+
+def test_export_faults_are_flagged():
+    assert planted_faults("from math import gcd, prod\n__all__ = ['gcd', 'prod']") == []
+    assert planted_faults("from math import gcd, prod\n__all__ = ['gcd']") == ["not listed: prod"]
+    assert planted_faults("from math import gcd\n__all__ = ['gcd', 'gcd']") == ["listed twice: gcd"]
+    # A removed import leaves its string behind in __all__.
+    assert planted_faults("from math import gcd\n__all__ = ['gcd', 'lcm']") == ["does not resolve: lcm"]
+    assert planted_faults("import os.path, json as j\n__all__ = ['os']") == ["not listed: j"]
+    assert planted_faults("from math import gcd as g\n__all__ = ['gcd']") == [
+        "does not resolve: gcd",
+        "not listed: g",
+    ]
+    # Private and __future__ imports, and names defined in the module, need no listing.
+    assert planted_faults("from __future__ import annotations\nfrom math import gcd as _g\nx = 1\n__all__ = []") == []
+
+
+def test_the_suite_runs_under_the_address_space_cap():
+    # The root conftest.py lowers the soft RLIMIT_AS to 4 GiB and never
+    # raises it, so a runaway search ends in MemoryError.
+    import resource
+
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    assert soft != resource.RLIM_INFINITY and soft <= 4 << 30
