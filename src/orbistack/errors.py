@@ -67,6 +67,12 @@ class RoundTripMismatch(DomainError):
     name = "RoundTripMismatch"
 
 
+class ResourceLimitExceeded(DomainError):
+    """The job's result is too large to build; the witness names the limit passed."""
+
+    name = "ResourceLimitExceeded"
+
+
 class InvariantViolation(DomainError):
     """An internal consistency check failed; the witness shows where."""
 

@@ -11,6 +11,8 @@ rank-and-cone condition on (W, chi, S).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable
 
 from .lattice import (
@@ -19,9 +21,9 @@ from .lattice import (
     Vec,
     _as_vec,
     _dot,
-    _facets,
     _minimal_supports,
     _neg,
+    _sign_table,
     hilbert_basis,
     integer_kernel,
 )
@@ -45,6 +47,20 @@ class CharacterAction:
             raise TypeError(f"matrix must be an IntMatrix, got {type(self.matrix).__name__}")
         object.__setattr__(self, "character", _as_vec(self.character, self.matrix.k, "character"))
 
+    @cached_property
+    def _classifier(self) -> tuple[dict, _Certificates]:
+        """The chi-valued sign table and the certificates handed out so far.
+
+        The table maps each (k - 1)-subset T of the columns to None or to
+        the row (lam_T, -lam_T, pos, neg, lam_T . chi) of the matrix's
+        sign table (lattice._sign_table) with its value on chi appended.
+        Certificates are keyed by (reason, witness), so supports with the
+        same verdict share one object.  Built on first use, k >= 1.
+        """
+        chi = self.character
+        table = _sign_table(self.matrix.columns(), self.matrix.k)
+        return {t: row and row + (_dot(row[0], chi),) for t, row in table.items()}, _Certificates()
+
 
 @dataclass(frozen=True)
 class StabilityCertificate:
@@ -64,6 +80,17 @@ class StabilityCertificate:
     @property
     def stable(self) -> bool:
         return self.verdict == STABLE
+
+
+_STABLE = StabilityCertificate(STABLE)
+
+
+class _Certificates(dict):
+    """An action's NotStable certificates by (reason, witness), each built once."""
+
+    def __missing__(self, key: tuple[str, Vec]) -> StabilityCertificate:
+        cert = self[key] = StabilityCertificate(NOT_STABLE, *key)
+        return cert
 
 
 @dataclass(frozen=True)
@@ -104,34 +131,61 @@ def is_stable_support(act: CharacterAction, support: Iterable[int]) -> Stability
     nonvanishing there and the lifted orbit is closed).  Supports are
     1-based.
 
-    One pass over the sorted facets of cone(S), read off the action's
-    sign table (lattice._facets), finds the witness: the first facet
-    negative on chi (ChiOutsideCone), else the first vanishing on it
-    (ChiOnBoundary), which is nonzero on some column of S as S spans.
+    One pass over the rows of the action's chi-valued sign table whose T
+    lies in S classifies it.  When S spans, a row whose normal takes one
+    sign on S is a facet of cone(S) (see lattice._facets), and the
+    witness is the least facet negative on chi (ChiOutsideCone), else
+    the least vanishing on it (ChiOnBoundary), which is nonzero on some
+    column of S.  When S has rank k - 1, the first row of rank k - 1
+    vanishes on S, and ker(S) is its line, oriented against chi; only
+    when chi vanishes on that line, or S has lower rank, is the kernel
+    solved, whose own sign then stands.
     """
     s = _normalize_support(support, act.matrix.cols)
-    k = act.matrix.k
-    if k == 0:
-        return StabilityCertificate(STABLE)
-    columns = act.matrix.columns()
-    facets = _facets(columns, s, k)
-    if facets is None:
+    k = len(act.character)  # one entry per row of the matrix
+    if not k:
+        return _STABLE
+    rows, certificates = act._classifier
+    mask = 0
+    for i in s:
+        mask |= 1 << i
+    spans = False
+    outside = boundary = None
+    for row in map(rows.__getitem__, combinations(s, k - 1)):
+        if row is None:
+            continue
+        lam, minus, pos, neg, value = row
+        if mask & neg:
+            if mask & pos:
+                # lam_T takes both signs on S: no facet.
+                spans = True
+                continue
+            lam = minus
+            value = -value
+        elif not mask & pos:
+            # lam_T vanishes on S, which has rank k - 1.
+            if value:
+                return certificates[STABILIZER_INFINITE, lam if value < 0 else minus]
+            break
+        spans = True
+        if value < 0:
+            if outside is None or lam < outside:
+                outside = lam
+        elif not value and (boundary is None or lam < boundary):
+            boundary = lam
+    if not spans:
         # Any functional vanishing on the support weights destabilizes;
         # orient it against chi.
+        columns = act.matrix.columns()
         lam = integer_kernel([columns[i - 1] for i in s], k)[0]
         if _dot(lam, act.character) > 0:
             lam = _neg(lam)
-        return StabilityCertificate(NOT_STABLE, STABILIZER_INFINITE, lam)
-    boundary = None
-    for lam in facets:
-        value = _dot(lam, act.character)
-        if value < 0:
-            return StabilityCertificate(NOT_STABLE, CHI_OUTSIDE_CONE, lam)
-        if not value and boundary is None:
-            boundary = lam
-    if boundary is None:
-        return StabilityCertificate(STABLE)
-    return StabilityCertificate(NOT_STABLE, CHI_ON_BOUNDARY, boundary)
+        return certificates[STABILIZER_INFINITE, lam]
+    if outside is not None:
+        return certificates[CHI_OUTSIDE_CONE, outside]
+    if boundary is not None:
+        return certificates[CHI_ON_BOUNDARY, boundary]
+    return _STABLE
 
 
 def stable_locus(act: CharacterAction) -> StableLocus:

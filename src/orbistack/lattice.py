@@ -12,13 +12,14 @@ there is no overflow to guard against, and no rational number is formed.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
 from operator import add, and_, ge, lt, mul, rshift, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InfiniteSolutionSet, InvariantViolation
+from .errors import InfiniteSolutionSet, InvariantViolation, ResourceLimitExceeded
 
 Vec = tuple[int, ...]
 
@@ -492,10 +493,12 @@ def _bounded_solutions(
     and a point is kept when the division is exact and x_B >= 0.  The
     last free exponent is not enumerated: x_B is affine in it, so the
     sign constraints give its range and the divisibility constraints a
-    residue class, and its points are one line.  Rows outside the pivot
-    rows are rational combinations of them: a target outside the span of
-    the columns has no solution, and for any other target a solution of
-    the pivot rows solves them all.
+    residue class, and its points are one line, one range of keys: a
+    line of more than sys.maxsize points, which no list holds, raises
+    ResourceLimitExceeded.  Rows outside the pivot rows are rational
+    combinations of them: a target outside the span of the columns has
+    no solution, and for any other target a solution of the pivot rows
+    solves them all.
 
     Points are found as keys.  No exponent, and not the total degree
     either, exceeds budget // min(costs), so each fits in a field of
@@ -588,14 +591,21 @@ def _bounded_solutions(
             u = tuple(map(sub, u, moved[depth]))
             scaled += rise[depth]
 
-    if free:
-        rec(0, start, budget, _dot(start, pivot_weight))
-    elif all(ui >= 0 and ui % det == 0 for ui in start):
-        # Every column is a pivot, in order.
-        keys.append(_dot(start, pivot_weight) // det)
-    # rec refers to itself through its cell: drop that cycle, which would
-    # hold last and the keys until the next collection.
-    del rec
+    try:
+        if free:
+            rec(0, start, budget, _dot(start, pivot_weight))
+        elif all(ui >= 0 and ui % det == 0 for ui in start):
+            # Every column is a pivot, in order.
+            keys.append(_dot(start, pivot_weight) // det)
+    except OverflowError:
+        # A line with more than sys.maxsize points: no list holds it.
+        raise ResourceLimitExceeded(
+            "the graded piece has more points than a list can hold", limit=sys.maxsize
+        ) from None
+    finally:
+        # rec refers to itself through its cell: drop that cycle, which
+        # would hold last and the keys until the next collection.
+        del rec
     keys.sort(reverse=True)
     if not width:
         mask = (1 << size) - 1

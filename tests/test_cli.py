@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from orbistack import cli, embed, git, lattice, wps
+from orbistack import DomainError, ResourceLimitExceeded, cli, embed, git, lattice, wps
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -119,6 +119,34 @@ def test_domain_failure_exits_1_with_witness(capsys):
         1,
         '{"error":"NotDetAmple","message":"the requested degree is not det-ample",'
         '"witness":{"weights":[1,3],"degree":0,"support":[1],"stabilizer_order":3}}\n',
+    )
+
+
+def test_a_piece_too_large_for_a_list_exits_1_with_one_document(capsys):
+    # Degree 10^23 - 1 on weights (1, 2) is one line of 5 * 10^22 points,
+    # past what a list can hold: a typed refusal, not a traceback.
+    argv = ["sections", "--weights", "1,2", "--degree", "99999999999999999999999"]
+    assert run(capsys, argv) == (
+        1,
+        '{"error":"ResourceLimitExceeded",'
+        '"message":"the graded piece has more points than a list can hold",'
+        f'"witness":{{"limit":"{sys.maxsize}"}}}}\n',
+    )
+    with pytest.raises(ResourceLimitExceeded) as err:
+        wps.section_basis((1, 2), 99999999999999999999999)
+    assert isinstance(err.value, DomainError) and err.value.witness == {"limit": sys.maxsize}
+
+
+@pytest.mark.parametrize(
+    "weights,degree",
+    [("1000000,1000001", "1000000000000"), ("1", "1000000000000000")],
+)
+def test_huge_degree_one_point_pieces_keep_their_bytes(capsys, weights, degree):
+    point = [int(degree) // int(weights.split(",")[0])] + [0] * weights.count(",")
+    assert run(capsys, ["sections", "--weights", weights, "--degree", degree]) == (
+        0,
+        f'{{"schema":1,"command":"sections","weights":[{weights}],"degree":{degree},'
+        f'"basis":[{json.dumps(point, separators=(",", ":"))}]}}\n',
     )
 
 

@@ -6,6 +6,7 @@ subgroups (tests.oracles.stable_by_search); the exhaustive comparison
 over a whole parameter box lives in the acceptance suite.
 """
 
+import json
 import random
 from itertools import combinations, product
 from math import comb
@@ -25,7 +26,7 @@ from orbistack import (
     proj_presentation,
     stable_locus,
 )
-from orbistack import git, lattice
+from orbistack import cli, git, lattice
 from tests import oracles
 from tests.test_golden import ACTIONS
 
@@ -270,6 +271,44 @@ def test_wide_action_certificates_match_the_dual_cone_route_for_scaled_chi():
     assert min(outcomes.values()) >= 200, outcomes
 
 
+def test_reused_kernel_lines_keep_the_kernel_sign_where_chi_vanishes_on_them():
+    # A support of rank k - 1 takes its StabilizerInfinite witness from
+    # a sign-table row, oriented against chi; where chi vanishes on that
+    # line only the kernel solve fixes its sign.  Seeded actions with
+    # k = 1..4, zero and duplicate columns, matrices whose columns all
+    # lie in a random hyperplane, and chi = 0 or chi a column: every
+    # support gets the dual-cone route's certificate on a fresh action
+    # and on one whose tables stable_locus has already filled.
+    rng = random.Random(20261022)
+    vanishing = 0
+    for i in range(160):
+        k = 1 + i % 4
+        n = rng.randint(1, 6)
+        if i % 5 == 0 and k >= 2:
+            basis = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k - 1)]
+            coefficients = [[rng.randint(-1, 1) for _ in basis] for _ in range(n)]
+            cols = [tuple(sum(a * b[r] for a, b in zip(c, basis)) for r in range(k)) for c in coefficients]
+        else:
+            cols = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(n)]
+        if i % 3 == 0:
+            cols[rng.randrange(n)] = (0,) * k
+        if n >= 2 and i % 4 < 2:
+            cols[rng.randrange(1, n)] = cols[0]
+        chi = rng.choice(cols) if i % 2 else (0,) * k
+        matrix = IntMatrix(tuple(tuple(c[r] for c in cols) for r in range(k)), n)
+        walked = CharacterAction(matrix, chi)
+        stable_locus(walked)
+        for size in range(n + 1):
+            for support in combinations(range(1, n + 1), size):
+                expected = certificate_by_dual_cone(walked, support)
+                for action in (CharacterAction(matrix, chi), walked):
+                    cert = is_stable_support(action, support)
+                    assert (cert.verdict, cert.reason, cert.witness) == expected, (cols, chi, support)
+                picked = [cols[j - 1] for j in support]
+                vanishing += oracles.frac_rank(picked) == k - 1 == oracles.frac_rank(picked + [chi])
+    assert vanishing >= 500, vanishing
+
+
 def test_stable_locus_frozen():
     assert stable_locus(act([(1, 3)], (1,))).minimal_stable_supports == ((1,), (2,))
     assert stable_locus(act([(1, 3)], (0,))).minimal_stable_supports == ()
@@ -402,9 +441,11 @@ def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
     # support's cone come from its 2-column subsets, and there are only
     # C(11, 2) of those however many supports contain them; the
     # other kernel solves are git's StabilizerInfinite witnesses, one
-    # per tested support of rank < 3.  The search tests no support of
-    # more than 2k = 6 columns.  The action's data is validated when it
-    # is built, so the sweep revalidates no column.
+    # per tested support of rank < 2, or of rank 2 with a kernel line
+    # that vanishes on chi (any other rank-2 support reuses a sign-table
+    # line).  The search tests no support of more than 2k = 6 columns.
+    # The action's data is validated when it is built, so the sweep
+    # revalidates no column.
     rows = [
         (1, -2, -1, -2, -1, 1, 1, -2, 1, 1, 1),
         (-1, 1, 0, 0, 0, 1, -1, 1, -2, 0, 1),
@@ -443,10 +484,50 @@ def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
     monkeypatch.setattr(lattice, "_as_vec", counting_as_vec)
     locus = stable_locus(action)
     assert locus.minimal_stable_supports
-    deficient = sum(oracles.frac_rank([cols[j - 1] for j in s]) < 3 for s in tested)
+    needed = oracles.kernel_solves_needed(cols, (0, -1, -1), tested)
     assert len(tested) <= sum(comb(11, i) for i in range(7)) == 1486
-    assert deficient <= len(calls) <= comb(11, 2) + deficient
+    assert needed <= len(calls) <= comb(11, 2) + needed
     assert validations == []
+
+
+def test_stable_locus_classifies_each_tested_support_once_from_the_chi_table(capsys, monkeypatch):
+    # The walk calls git.is_stable_support through the module global,
+    # once per support it tests (the benchmark's tracer counts those
+    # calls as git.supports_tested), and a support is classified from
+    # the action's chi-valued table, never from lattice._facets.  The
+    # tested supports are exactly those of at most 2k columns that
+    # contain no other minimal stable support, in walk order.
+    tested = []
+    classify = git.is_stable_support
+
+    def recording(act, support):
+        tested.append(tuple(support))
+        return classify(act, support)
+
+    facet_calls = []
+    facets = lattice._facets
+
+    def counting_facets(*args):
+        facet_calls.append(args)
+        return facets(*args)
+
+    monkeypatch.setattr(git, "is_stable_support", recording)
+    monkeypatch.setattr(lattice, "_facets", counting_facets)
+    monkeypatch.setattr(git, "_facets", counting_facets, raising=False)
+    for name, chi in (("3x11", "0,-1,-1"), ("2x12", "1,-2"), ("4x12", "2,-2,1,0")):
+        tested.clear()
+        assert cli.main(["stable-locus", f"--matrix={ACTIONS[name]}", f"--chi={chi}"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        minimal = [set(m) for m in doc["minimal_supports"]]
+        k, n = len(doc["matrix"]), len(doc["matrix"][0])
+        expected = [
+            support
+            for size in range(min(n, 2 * k) + 1)
+            for support in combinations(range(1, n + 1), size)
+            if not any(m < set(support) for m in minimal)
+        ]
+        assert minimal and tested == expected, name
+    assert facet_calls == []
 
 
 def test_stability_power_invariance():
