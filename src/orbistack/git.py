@@ -133,13 +133,14 @@ def is_stable_support(act: CharacterAction, support: Iterable[int]) -> Stability
 
     One pass over the rows of the action's chi-valued sign table whose T
     lies in S classifies it.  When S spans, a row whose normal takes one
-    sign on S is a facet of cone(S) (see lattice._facets), and the
+    sign on S is a facet of cone(S) (see lattice._dual_cone), and the
     witness is the least facet negative on chi (ChiOutsideCone), else
     the least vanishing on it (ChiOnBoundary), which is nonzero on some
     column of S.  When S has rank k - 1, the first row of rank k - 1
-    vanishes on S, and ker(S) is its line, oriented against chi; only
-    when chi vanishes on that line, or S has lower rank, is the kernel
-    solved, whose own sign then stands.
+    vanishes on S, and ker(S) is its line, oriented against chi; where
+    chi vanishes on it, lam_T keeps its own sign, which is the kernel
+    solve's (integer_kernel gives the primitive vector with a positive
+    pivot).  Only a support of lower rank solves its kernel.
     """
     s = _normalize_support(support, act.matrix.cols)
     k = len(act.character)  # one entry per row of the matrix
@@ -164,9 +165,7 @@ def is_stable_support(act: CharacterAction, support: Iterable[int]) -> Stability
             value = -value
         elif not mask & pos:
             # lam_T vanishes on S, which has rank k - 1.
-            if value:
-                return certificates[STABILIZER_INFINITE, lam if value < 0 else minus]
-            break
+            return certificates[STABILIZER_INFINITE, minus if value > 0 else lam]
         spans = True
         if value < 0:
             if outside is None or lam < outside:

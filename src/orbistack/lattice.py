@@ -337,40 +337,6 @@ def _sign_table(columns: tuple[Vec, ...], k: int) -> dict:
     return {t: _hyperplane(columns, t, k) for t in subsets}
 
 
-@lru_cache(maxsize=65536)
-def _facets(columns: tuple[Vec, ...], s: tuple[int, ...], k: int) -> tuple[Vec, ...] | None:
-    """Sorted inward facet normals of cone(S) when S spans Q^k, else None.
-
-    S holds 1-based column indices; k >= 1.  A facet F of a
-    full-dimensional cone(S) is the cone over the columns of S it
-    contains; it has dimension k - 1, so those include k - 1 independent
-    columns T, span(F) = span(T) and the inward normal of F is +-lam_T.
-    Conversely, when S spans, a lam_T with T in S that takes one sign on
-    S cuts out a face containing T, which is a facet.  S spans exactly
-    when some lam_T with T in S is nonzero on S; when S does not span,
-    span(T) = span(S) for every T in S of rank k - 1, so the first such
-    T decides.  The facets of a spanning cone generate its dual cone.
-    """
-    table = _sign_table(columns, k)
-    mask = 0
-    for i in s:
-        mask |= 1 << i
-    facets = set()
-    spans = False
-    for row in map(table.__getitem__, itertools.combinations(s, k - 1)):
-        if row is None:
-            continue
-        lam, minus, pos, neg = row
-        if not mask & (pos | neg):
-            return None
-        spans = True
-        if not mask & neg:
-            facets.add(lam)
-        elif not mask & pos:
-            facets.add(minus)
-    return tuple(sorted(facets)) if spans else None
-
-
 def _hyperplane(columns: tuple[Vec, ...], t: tuple[int, ...], k: int) -> tuple[Vec, Vec, int, int] | None:
     """One _sign_table row: (lam_T, -lam_T, pos, neg), or None when T has rank < k - 1."""
     lam = _quotient_line(tuple(columns[i - 1] for i in t), (), k)
@@ -390,14 +356,26 @@ def _dual_cone(cols: tuple[Vec, ...], k: int) -> tuple[Vec, ...]:
     """Generators of {lam : lam . c >= 0 for every column c}; length-k integer columns.
 
     The list may be redundant but always generates.  Spanning columns take
-    the facet normals of their cone (see _facets); others the lineality
-    space ker(cols) with both signs, plus the edges cut out by
-    (r - 1)-subsets of the distinct nonzero columns, r the rank.
+    the sorted inward facet normals of their cone: a facet F has dimension
+    k - 1, so it contains k - 1 independent columns T, span(F) = span(T)
+    and the inward normal of F is +-lam_T; conversely a lam_T that takes
+    one sign on the columns cuts out a face containing T, which is a
+    facet.  Others take the lineality space ker(cols) with both signs,
+    plus the edges cut out by (r - 1)-subsets of the distinct nonzero
+    columns, r the rank.
     """
     if k == 0:
         return ()
     if _rank_cached(cols) == k:
-        return _facets(cols, tuple(range(1, len(cols) + 1)), k)
+        facets = set()
+        for row in _sign_table(cols, k).values():
+            if row is not None:
+                lam, minus, pos, neg = row
+                if not neg:
+                    facets.add(lam)
+                elif not pos:
+                    facets.add(minus)
+        return tuple(sorted(facets))
     # Duplicate and zero columns do not change the dual cone.
     rows = tuple(dict.fromkeys(c for c in cols if any(c)))
     lin = integer_kernel(rows, k)
@@ -494,11 +472,11 @@ def _bounded_solutions(
     last free exponent is not enumerated: x_B is affine in it, so the
     sign constraints give its range and the divisibility constraints a
     residue class, and its points are one line, one range of keys: a
-    line of more than sys.maxsize points, which no list holds, raises
-    ResourceLimitExceeded.  Rows outside the pivot rows are rational
-    combinations of them: a target outside the span of the columns has
-    no solution, and for any other target a solution of the pivot rows
-    solves them all.
+    line of more than sys.maxsize points, more than len() of a range can
+    report, raises ResourceLimitExceeded.  Rows outside the pivot rows
+    are rational combinations of them: a target outside the span of the
+    columns has no solution, and for any other target a solution of the
+    pivot rows solves them all.
 
     Points are found as keys.  No exponent, and not the total degree
     either, exceeds budget // min(costs), so each fits in a field of
@@ -598,9 +576,9 @@ def _bounded_solutions(
             # Every column is a pivot, in order.
             keys.append(_dot(start, pivot_weight) // det)
     except OverflowError:
-        # A line with more than sys.maxsize points: no list holds it.
+        # A line with more than sys.maxsize points: its range has no len().
         raise ResourceLimitExceeded(
-            "the graded piece has more points than a list can hold", limit=sys.maxsize
+            "a line of the graded piece has more points than a range can count", limit=sys.maxsize
         ) from None
     finally:
         # rec refers to itself through its cell: drop that cycle, which

@@ -253,25 +253,6 @@ def _kernel_line(rows, k):
     return tuple(x // g for x in ints)
 
 
-def kernel_solves_needed(columns, chi, supports) -> int:
-    """Supports whose StabilizerInfinite witness needs a kernel solve.
-
-    Those are the supports of rank < k - 1, and those of rank k - 1
-    whose kernel line vanishes on chi: the line cannot be oriented
-    against chi, so its sign is the solve's.  Supports are 1-based.
-    """
-    k = len(chi)
-    needed = 0
-    for support in supports:
-        cols = [columns[j - 1] for j in support]
-        rank = frac_rank(cols)
-        if rank == k - 1:
-            needed += sum(x * y for x, y in zip(_kernel_line(cols, k), chi)) == 0
-        else:
-            needed += rank < k - 1
-    return needed
-
-
 def dual_cone_by_subsets(columns, k) -> tuple[tuple[int, ...], ...]:
     """Sorted extreme rays of the dual cone of columns that span Q^k.
 

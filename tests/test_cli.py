@@ -122,14 +122,15 @@ def test_domain_failure_exits_1_with_witness(capsys):
     )
 
 
-def test_a_piece_too_large_for_a_list_exits_1_with_one_document(capsys):
+def test_a_line_too_long_for_a_range_exits_1_with_one_document(capsys):
     # Degree 10^23 - 1 on weights (1, 2) is one line of 5 * 10^22 points,
-    # past what a list can hold: a typed refusal, not a traceback.
+    # more than len() of a range can report: a typed refusal, not a
+    # traceback.
     argv = ["sections", "--weights", "1,2", "--degree", "99999999999999999999999"]
     assert run(capsys, argv) == (
         1,
         '{"error":"ResourceLimitExceeded",'
-        '"message":"the graded piece has more points than a list can hold",'
+        '"message":"a line of the graded piece has more points than a range can count",'
         f'"witness":{{"limit":"{sys.maxsize}"}}}}\n',
     )
     with pytest.raises(ResourceLimitExceeded) as err:

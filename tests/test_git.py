@@ -274,7 +274,8 @@ def test_wide_action_certificates_match_the_dual_cone_route_for_scaled_chi():
 def test_reused_kernel_lines_keep_the_kernel_sign_where_chi_vanishes_on_them():
     # A support of rank k - 1 takes its StabilizerInfinite witness from
     # a sign-table row, oriented against chi; where chi vanishes on that
-    # line only the kernel solve fixes its sign.  Seeded actions with
+    # line it keeps the row's own sign, which is the sign of the kernel
+    # solve (a primitive vector with a positive pivot).  Seeded actions with
     # k = 1..4, zero and duplicate columns, matrices whose columns all
     # lie in a random hyperplane, and chi = 0 or chi a column: every
     # support gets the dual-cone route's certificate on a fresh action
@@ -441,9 +442,9 @@ def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
     # support's cone come from its 2-column subsets, and there are only
     # C(11, 2) of those however many supports contain them; the
     # other kernel solves are git's StabilizerInfinite witnesses, one
-    # per tested support of rank < 2, or of rank 2 with a kernel line
-    # that vanishes on chi (any other rank-2 support reuses a sign-table
-    # line).  The search tests no support of more than 2k = 6 columns.
+    # per tested support of rank < 2 (a rank-2 support reuses a
+    # sign-table line).  The search tests no support of more than
+    # 2k = 6 columns.
     # The action's data is validated when it is built, so the sweep
     # revalidates no column.
     rows = [
@@ -484,7 +485,7 @@ def test_stable_locus_solves_each_facet_candidate_once(monkeypatch):
     monkeypatch.setattr(lattice, "_as_vec", counting_as_vec)
     locus = stable_locus(action)
     assert locus.minimal_stable_supports
-    needed = oracles.kernel_solves_needed(cols, (0, -1, -1), tested)
+    needed = sum(oracles.frac_rank([cols[j - 1] for j in s]) < 2 for s in tested)
     assert len(tested) <= sum(comb(11, i) for i in range(7)) == 1486
     assert needed <= len(calls) <= comb(11, 2) + needed
     assert validations == []
@@ -494,9 +495,10 @@ def test_stable_locus_classifies_each_tested_support_once_from_the_chi_table(cap
     # The walk calls git.is_stable_support through the module global,
     # once per support it tests (the benchmark's tracer counts those
     # calls as git.supports_tested), and a support is classified from
-    # the action's chi-valued table, never from lattice._facets.  The
-    # tested supports are exactly those of at most 2k columns that
-    # contain no other minimal stable support, in walk order.
+    # the action's chi-valued table, never from the facet list of
+    # lattice._dual_cone.  The tested supports are exactly those of at
+    # most 2k columns that contain no other minimal stable support, in
+    # walk order.
     tested = []
     classify = git.is_stable_support
 
@@ -504,16 +506,15 @@ def test_stable_locus_classifies_each_tested_support_once_from_the_chi_table(cap
         tested.append(tuple(support))
         return classify(act, support)
 
-    facet_calls = []
-    facets = lattice._facets
+    cone_calls = []
+    dual_cone = lattice._dual_cone
 
-    def counting_facets(*args):
-        facet_calls.append(args)
-        return facets(*args)
+    def counting_dual_cone(*args):
+        cone_calls.append(args)
+        return dual_cone(*args)
 
     monkeypatch.setattr(git, "is_stable_support", recording)
-    monkeypatch.setattr(lattice, "_facets", counting_facets)
-    monkeypatch.setattr(git, "_facets", counting_facets, raising=False)
+    monkeypatch.setattr(lattice, "_dual_cone", counting_dual_cone)
     for name, chi in (("3x11", "0,-1,-1"), ("2x12", "1,-2"), ("4x12", "2,-2,1,0")):
         tested.clear()
         assert cli.main(["stable-locus", f"--matrix={ACTIONS[name]}", f"--chi={chi}"]) == 0
@@ -527,7 +528,7 @@ def test_stable_locus_classifies_each_tested_support_once_from_the_chi_table(cap
             if not any(m < set(support) for m in minimal)
         ]
         assert minimal and tested == expected, name
-    assert facet_calls == []
+    assert cone_calls == []
 
 
 def test_stability_power_invariance():
