@@ -471,12 +471,25 @@ def _bounded_solutions(
     and a point is kept when the division is exact and x_B >= 0.  The
     last free exponent is not enumerated: x_B is affine in it, so the
     sign constraints give its range and the divisibility constraints a
-    residue class, and its points are one line, one range of keys: a
+    residue class, and its points are one line, one range of keys.  A
     line of more than sys.maxsize points, more than len() of a range can
-    report, raises ResourceLimitExceeded.  Rows outside the pivot rows
-    are rational combinations of them: a target outside the span of the
-    columns has no solution, and for any other target a solution of the
-    pivot rows solves them all.
+    report, raises ResourceLimitExceeded as it is built.  Rows outside
+    the pivot rows are rational combinations of them: a target outside
+    the span of the columns has no solution, and for any other target a
+    solution of the pivot rows solves them all.
+
+    The lines of the last two free exponents, the tail, depend only on
+    the residual u in pivot coordinates and the remaining budget b, and
+    their keys on det times the key of the tail's first point, scaled,
+    only through scaled mod det: (scaled + x) // det is scaled // det
+    plus (scaled mod det + x) // det.  That residue is u . pivot_weight
+    mod det, since scaled - u . pivot_weight is det times the key of the
+    free exponents above the tail, so (u, b) fixes the tail's lines
+    relative to scaled // det.  Below two or more enumerated exponents
+    the same (u, b) recurs, so its lines are built once, as the bounds
+    of key ranges, and shifted by scaled // det on every visit.  With
+    fewer, every state is met once and the lines are built where they
+    are used.
 
     Points are found as keys.  No exponent, and not the total degree
     either, exceeds budget // min(costs), so each fits in a field of
@@ -535,8 +548,12 @@ def _bounded_solutions(
             n_i = det // g
             solve.append((vi, g, pow(m * vi // g, -1, n_i) if n_i > 1 else 0, n_i, m))
             m *= n_i
+        # Distinct points have distinct keys, so dkey != 0 on a line of
+        # two points or more; a line of one point takes any nonzero step.
+        dkey = step * slope // det or 1
 
-    def last(u: Vec, hi: int, scaled: int) -> None:
+    def line(u: Vec, hi: int, scaled: int) -> range | tuple[()]:
+        """The keys of the last free exponent's line, one range with step dkey."""
         lo = 0
         for ui, vi in zip(u, v):
             if vi > 0:
@@ -544,25 +561,57 @@ def _bounded_solutions(
             elif vi < 0:
                 lo = max(lo, -(ui // -vi))
             elif ui < 0:
-                return
+                return ()
         t = 0
         for ui, (vi, g, inv, n_i, m) in zip(u, solve):
             d = ui - t * vi
             if d % g:
-                return
+                return ()
             t += (d // g * inv % n_i) * m
         t = lo + (t - lo) % step
         if t > hi:
-            return
+            return ()
         count = (hi - t) // step + 1
-        key, dkey = (scaled + t * slope) // det, step * slope // det
-        # Distinct points have distinct keys, so dkey != 0 when count > 1.
-        keys.extend(range(key, key + dkey * count, dkey) if count > 1 else (key,))
+        if count > sys.maxsize:
+            # More points than len() of a range can report.
+            raise ResourceLimitExceeded(
+                "a line of the graded piece has more points than a range can count", limit=sys.maxsize
+            )
+        key = (scaled + t * slope) // det
+        return range(key, key + dkey * count, dkey)
+
+    def tail(u: Vec, b: int, scaled: int) -> tuple[list[int], list[int]]:
+        """The lines of the last two free exponents, as the starts and the stops of their ranges."""
+        starts: list[int] = []
+        stops: list[int] = []
+        c, c_last = costs[free[-2]], costs[free[-1]]
+        for t in range(b // c + 1):
+            found = line(u, (b - c * t) // c_last, scaled)
+            if found:
+                starts.append(found.start)
+                stops.append(found.stop)
+            u = tuple(map(sub, u, moved[-2]))
+            scaled += rise[-2]
+        return starts, stops
+
+    # The tail's lines by (u, b), relative to scaled // det, kept where
+    # two or more free exponents are enumerated above the tail.
+    memo: dict[tuple[Vec, int], tuple[list[int], list[int]]] = {}
+    memo_depth = len(free) - 2 if len(free) >= 4 else -1
 
     def rec(depth: int, u: Vec, b: int, scaled: int) -> None:
+        if depth == memo_depth:
+            q, r = divmod(scaled, det)
+            found = memo.get((u, b))
+            if found is None:
+                found = memo[u, b] = tail(u, b, r)
+            starts, stops = found
+            lines = map(range, map(q.__add__, starts), map(q.__add__, stops), itertools.repeat(dkey))
+            keys.extend(itertools.chain.from_iterable(lines))
+            return
         c = costs[free[depth]]
         if depth == len(free) - 1:
-            last(u, b // c, scaled)
+            keys.extend(line(u, b // c, scaled))
             return
         for t in range(b // c + 1):
             rec(depth + 1, u, b - c * t, scaled)
@@ -575,15 +624,11 @@ def _bounded_solutions(
         elif all(ui >= 0 and ui % det == 0 for ui in start):
             # Every column is a pivot, in order.
             keys.append(_dot(start, pivot_weight) // det)
-    except OverflowError:
-        # A line with more than sys.maxsize points: its range has no len().
-        raise ResourceLimitExceeded(
-            "a line of the graded piece has more points than a range can count", limit=sys.maxsize
-        ) from None
     finally:
         # rec refers to itself through its cell: drop that cycle, which
-        # would hold last and the keys until the next collection.
+        # would hold the memo and the keys until the next collection.
         del rec
+    memo.clear()
     keys.sort(reverse=True)
     if not width:
         mask = (1 << size) - 1
@@ -762,8 +807,14 @@ def hilbert_basis(
     Each element x only has to dominate some generator g: then x - g is
     a solution of lower degree, already certified (degree 0 holds only
     the zero vector, since the semigroup is pointed), so x decomposes.
-    No element is decomposed.  Every degree is >= 1, so _dominates
-    buckets generators by the support of their exponents alone.
+    No element is decomposed, and none is built: the sweep reads each
+    piece's exponent columns (see _piece) and works on bitmasks with one
+    byte per element, in basis order.  The mask of (j, tau) has the
+    elements with exponent j at least tau; the elements dominating a
+    generator g of degree at most mm are the AND of its masks over its
+    nonzero exponents, and the piece is covered when the OR of those
+    over the generators is full.  The lowest uncovered byte is the first
+    undominated element in basis order, the witness.
     """
     chi_v = _as_vec(chi, W.k, "character")
     if certify_degree is not None and (not isinstance(certify_degree, int) or certify_degree < 0):
@@ -788,15 +839,31 @@ def hilbert_basis(
         bound = certify_degree
         if bound is None:
             bound = 4 * max((m for _, m in gens), default=0)
-        bits = [1 << j for j in range(W.cols)]
-        found: dict[int, list[Vec]] = {}
-        for g, m in gens:
-            found.setdefault(sum(itertools.compress(bits, g)), []).append(g + (m,))
+        needs = [(m, [(j, x) for j, x in enumerate(g) if x]) for g, m in gens]
         for mm in range(1, bound + 1):
-            for e in graded_sections(W, chi_v, mm).basis:
-                if not _dominates(e + (mm,), sum(itertools.compress(bits, e)), found):
-                    raise InvariantViolation(
-                        "generator completeness failed", degree=mm, monomial=list(e)
-                    )
+            piece = _piece(graded_sections(W, chi_v, mm))
+            if not len(piece):
+                continue
+            columns = piece._columns if type(piece) is _Columns else tuple(zip(*piece))
+            full = int.from_bytes(b"\x01" * len(piece), "little")
+            masks: dict[tuple[int, int], int] = {}
+            covered = 0
+            for m, need in needs:
+                if m > mm:
+                    break  # gens ascend in degree
+                cover = full
+                for j, tau in need:
+                    mask = masks.get((j, tau))
+                    if mask is None:
+                        at_least = map(ge, columns[j], itertools.repeat(tau))
+                        mask = masks[j, tau] = int.from_bytes(bytes(at_least), "little")
+                    cover &= mask
+                covered |= cover
+            missed = full & ~covered
+            if missed:
+                row = ((missed & -missed).bit_length() - 1) // 8
+                raise InvariantViolation(
+                    "generator completeness failed", degree=mm, monomial=[c[row] for c in columns]
+                )
         certified = bound
     return SemigroupBasis(tuple(gens), invariants, pointed, certified)

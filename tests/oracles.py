@@ -7,10 +7,11 @@ per subset of columns, stability via bounded search over
 one-parameter subgroups, chart generation via literal multiset search
 and via a scan of every projection of every block, normality via the
 literal decomposition scan, global generation via whole section spaces,
-the canonical monomial order via one keyed sort, canonical JSON via a
-full copy of the document, recovery by grouping coordinates into weight
-classes, base loci by walking every support, minimal supports by a scan
-over the supports found so far.
+the canonical monomial order via one keyed sort, Hilbert-basis
+completeness via an element-by-element sweep of box enumerations,
+canonical JSON via a full copy of the document, recovery by grouping
+coordinates into weight classes, base loci by walking every support,
+minimal supports by a scan over the supports found so far.
 Slow and obvious on purpose; nothing imports from the package.
 """
 
@@ -221,6 +222,33 @@ def can_decompose(target, gens) -> bool:
         return False
 
     return rec(0, tuple(target))
+
+
+def completeness_witness(rows, chi, generators, bound):
+    """The first element of a graded piece that dominates no generator, or None.
+
+    The element-by-element sweep of a Hilbert-basis completeness check:
+    for each degree mm from 1 to bound, the piece {e >= 0 : rows e = mm
+    chi} in grlex order, each element compared with every generator
+    (g, m) of degree m <= mm.  The first element that is at least no g
+    componentwise is returned as (mm, e).  Pieces are enumerated by
+    box_solutions in the box of a functional positive on every column,
+    the sum of the extreme rays of the dual cone, so the columns must
+    span and generate a pointed cone.
+    """
+    rows = [tuple(r) for r in rows]
+    columns = list(zip(*rows))
+    lam = [sum(ray) for ray in zip(*dual_cone_by_subsets(columns, len(rows)))]
+    costs = [sum(l * x for l, x in zip(lam, c)) for c in columns]
+    assert min(costs) > 0, "the columns do not generate a pointed cone"
+    for mm in range(1, bound + 1):
+        target = [mm * x for x in chi]
+        budget = sum(l * t for l, t in zip(lam, target))
+        piece = box_solutions(rows, target, [budget // c for c in costs])
+        for e in grlex_sorted(piece):
+            if not any(m <= mm and all(x >= y for x, y in zip(e, g)) for g, m in generators):
+                return mm, e
+    return None
 
 
 def _kernel_line(rows, k):

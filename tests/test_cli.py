@@ -138,6 +138,35 @@ def test_a_line_too_long_for_a_range_exits_1_with_one_document(capsys):
     assert isinstance(err.value, DomainError) and err.value.witness == {"limit": sys.maxsize}
 
 
+def test_a_line_too_long_for_a_range_below_reused_tails_exits_1_at_once():
+    # Six weights leave five free exponents, so the lines of the last
+    # two are built once per state and reused; the first line built has
+    # 5 * 10^19 + 1 points.  A tail that stored that line unmeasured
+    # would fill memory extending the keys, so the child runs under a
+    # 1 GiB address-space limit and a timeout.
+    import resource
+
+    big = "100000000000000000000"
+    argv = ["sections", "--weights", f"1,2,3,{big},{big},{big}", "--degree", big]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "orbistack.cli", *argv],
+        capture_output=True,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        timeout=30,
+    )
+    assert (result.returncode, result.stderr) == (1, b"")
+    assert result.stdout.decode() == (
+        '{"error":"ResourceLimitExceeded",'
+        '"message":"a line of the graded piece has more points than a range can count",'
+        f'"witness":{{"limit":"{sys.maxsize}"}}}}\n'
+    )
+
+
 @pytest.mark.parametrize(
     "weights,degree",
     [("1000000,1000001", "1000000000000"), ("1", "1000000000000000")],

@@ -11,7 +11,8 @@ import itertools
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 import pytest
 
@@ -682,6 +683,52 @@ def test_graded_sections_order_on_seeded_multi_row_pieces():
     assert all(counts[case] >= floor for case, floor in minimum.items()), counts
 
 
+def memo_pieces():
+    """Seeded pieces (rows, target) of one degree with at least four free exponents.
+
+    Twelve one-row pieces of 5-7 weights have a weight of 1, so the
+    pivot minor is 1, and twelve have none, so it is the smallest
+    weight; twelve pointed two-row pieces have 6-7 columns and a
+    positive first row.  The box the first row gives holds at most
+    40,000 points.
+    """
+    rng = random.Random(2029)
+    pieces = []
+    while len(pieces) < 24:
+        n = rng.randint(5, 7)
+        weights = [rng.randint(2, 9) for _ in range(n)]
+        if len(pieces) % 2:
+            weights[rng.randrange(n)] = 1
+        degree = rng.randint(12, 40)
+        if prod(degree // w + 1 for w in weights) <= 40000:
+            pieces.append(((tuple(weights),), (degree,)))
+    while len(pieces) < 36:
+        n = rng.randint(6, 7)
+        rows = ((*(rng.randint(1, 3) for _ in range(n)),), (*(rng.randint(-2, 2) for _ in range(n)),))
+        e = [rng.randint(0, 2) for _ in range(n)]
+        target = tuple(sum(map(mul, row, e)) for row in rows)
+        if prod(target[0] // a + 1 for a in rows[0]) <= 40000:
+            pieces.append((rows, target))
+    return pieces
+
+
+def test_graded_sections_reuse_tail_lines_as_box_enumeration_finds_them():
+    # Below two or more enumerated exponents, the lines of the last two
+    # are built once per residual and budget and shifted on each visit.
+    dets = set()
+    sizes = []
+    for rows, target in memo_pieces():
+        mat = W(*rows)
+        assert mat.cols - matrix_rank(rows) >= 4
+        got = graded_sections(mat, target, 1).basis
+        bounds = [target[0] // a for a in rows[0]]
+        assert list(got) == oracles.grlex_sorted(oracles.box_solutions(rows, target, bounds)), rows
+        dets.add(min(lattice._pivot_plan(mat.columns())[3], 2))
+        sizes.append(len(got))
+    assert dets == {1, 2}
+    assert sum(size >= 20 for size in sizes) >= 12, sizes
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -916,6 +963,96 @@ def test_hilbert_basis_certify_degree_is_a_nonnegative_integer():
         with pytest.raises(ValueError, match="certify_degree"):
             hilbert_basis(W((1, 3)), (1,), certify_degree=bound)
     assert hilbert_basis(W((1, 3)), (1,), certify_degree=0).certified_degree == 0
+
+
+def pointed_actions():
+    """Seeded pointed actions (rows, chi) of full rank with 2-4 columns.
+
+    The first row and chi's first entry are positive, so the semigroup
+    is pointed; half the actions have a second row.  The box the first
+    row gives the last piece of the completeness sweep holds at most
+    10,000 points.  The first action's pieces have exponents past 255, so
+    they are read back into 2-byte columns.
+    """
+    rng = random.Random(2030)
+    actions = [(((1, 300),), (300,))]
+    while len(actions) < 24:
+        k = 1 + len(actions) % 2
+        n = rng.randint(k + 1, 4)
+        rows = ((*(rng.randint(1, 4) for _ in range(n)),),)
+        rows += tuple((*(rng.randint(-2, 3) for _ in range(n)),) for _ in range(k - 1))
+        chi = (rng.randint(1, 4), *(rng.randint(-2, 3) for _ in range(k - 1)))
+        if matrix_rank(rows) < k:
+            continue
+        gens = hilbert_basis(W(*rows), chi, certify=False).generators
+        bound = 4 * max((m for _, m in gens), default=0)
+        if len(gens) >= 2 and prod(bound * chi[0] // a + 1 for a in rows[0]) <= 10000:
+            actions.append((rows, chi))
+    return actions
+
+
+def sweep_outcome(rows, chi, certify_degree=None):
+    """hilbert_basis's completeness verdict: the witness of its InvariantViolation, or its certified degree."""
+    try:
+        return hilbert_basis(W(*rows), chi, certify_degree=certify_degree).certified_degree
+    except InvariantViolation as exc:
+        return exc.witness
+
+
+def oracle_outcome(rows, chi, generators, bound):
+    witness = oracles.completeness_witness(rows, chi, generators, bound)
+    if witness is None:
+        return bound
+    return {"degree": witness[0], "monomial": list(witness[1])}
+
+
+def test_completeness_sweep_matches_the_element_by_element_oracle(monkeypatch):
+    # The sweep covers a piece by bitmasks over its exponent columns; the
+    # oracle compares each element of a box enumeration with each
+    # generator.  Dropping any one or two generators must give the same
+    # witness; two of one degree leave two elements of that piece
+    # uncovered, and the witness is the first in basis order.
+    # The last action's pieces have an exponent of 65536 and come back
+    # as plain tuples; its box is large, so it is swept to degree 1 only.
+    actions = [(rows, chi, None) for rows, chi in pointed_actions()]
+    actions.append((((1, 65536),), (65536,), 1))
+    failures = same_degree_pairs = 0
+    for rows, chi, certify_degree in actions:
+        gens = hilbert_basis(W(*rows), chi, certify=False).generators
+        for size in (0, 1, 2):
+            for dropped in itertools.combinations(gens, size):
+                rest = [g for g in gens if g not in dropped]
+                with monkeypatch.context() as patch:
+                    for e, m in dropped:
+                        drop_minimal_solution(patch, e + (m,))
+                    got = sweep_outcome(rows, chi, certify_degree)
+                bound = 4 * max((m for _, m in rest), default=0) if certify_degree is None else certify_degree
+                assert got == oracle_outcome(rows, chi, rest, bound), (rows, chi, dropped)
+                assert size or got == bound
+                failures += isinstance(got, dict)
+                same_degree_pairs += size == 2 and dropped[0][1] == dropped[1][1]
+    assert failures >= 75 and same_degree_pairs >= 15
+    # Both wide pieces lose their second point with it as generator.
+    with monkeypatch.context() as patch:
+        drop_minimal_solution(patch, (0, 1, 1))
+        assert sweep_outcome(((1, 300),), (300,)) == {"degree": 1, "monomial": [0, 1]}
+        assert sweep_outcome(((1, 65536),), (65536,), 1) == {"degree": 1, "monomial": [0, 1]}
+    assert type(lattice._piece(graded_sections(W((1, 300)), (300,), 4))) is lattice._Columns
+    assert type(lattice._piece(graded_sections(W((1, 65536)), (65536,), 1))) is tuple
+
+
+def test_completeness_sweep_builds_no_point(monkeypatch):
+    # The sweep reads the pieces' columns: with packaging into points
+    # refused, the golden pointed 2x5 action still certifies to degree 68.
+    rows, chi = ((-2, 3, 3, 1, 2), (3, 4, 2, 0, 2)), (1, 2)
+    expected = hilbert_basis(W(*rows), chi)
+    assert expected.certified_degree == 68
+
+    def refuse(piece):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(lattice, "_points", refuse)
+    assert hilbert_basis(W(*rows), chi, certify=True) == expected
 
 
 KERNEL_123 = ((1, 1, -1), (0, 3, -2))
