@@ -727,12 +727,15 @@ def morphism_from_sections(a, dprime: int, sections) -> MorphismReport:
     # A nonempty S is in the base locus when no section support lies in S,
     # that is when its complement T meets every support, so maximal S are
     # the complements of minimal such T with |T| < width.  In a minimal T
-    # each t has a support meeting T only in t, so |T| <= #sections.
-    hitting = _minimal_supports(
-        range(width),
-        min(width - 1, len(supports)),
-        lambda t: all(not s.isdisjoint(t) for s in supports),
-    )
+    # each t has a support meeting T only in t, so |T| <= #sections.  A T
+    # that misses a support escapes only through that support's items.
+    masks = [sum(1 << j for j in s) for s in supports]
+
+    def escape(t: tuple[int, ...]) -> int | None:
+        hit = sum(1 << j for j in t)
+        return next((m for m in masks if not m & hit), None)
+
+    hitting = _minimal_supports(min(width - 1, len(supports)), escape)
     maximal = (tuple(j for j in range(width) if j not in t) for t in hitting)
     base_locus = tuple(sorted(maximal, key=lambda t: (len(t), t)))
     return MorphismReport(well_defined, polynomial, base_locus, not base_locus)

@@ -192,16 +192,34 @@ def stable_locus(act: CharacterAction) -> StableLocus:
 
     By Steinitz's theorem, chi interior to cone(S) is interior to the cone
     of at most 2k columns of S, which then span: no minimal stable support
-    has more than 2k columns.  Adding columns only enlarges a
-    full-dimensional cone, so a support containing a stable one is stable
-    and is skipped; a stable support that does get tested is minimal.
+    has more than 2k columns.  The search (lattice._minimal_supports)
+    extends an unstable S only by the columns c with lam . c < 0, lam the
+    witness of its certificate: lam is nonzero, nonnegative on S and
+    lam . chi <= 0, so if a stable T containing S had no such column, lam
+    would be nonnegative on the full-dimensional cone(T), whose interior
+    holds chi, and lam . chi would be positive.  A witness that is a sign
+    table normal takes its mask from the row; a kernel witness takes its
+    dot products once per call.
     """
-    n = act.matrix.cols
-    return StableLocus(
-        _minimal_supports(
-            range(1, n + 1), min(n, 2 * act.matrix.k), lambda s: is_stable_support(act, s).stable
-        )
-    )
+    columns = act.matrix.columns()
+    escapes: dict[Vec, int] = {}
+    if act.matrix.k:
+        for row in act._classifier[0].values():
+            if row is not None:
+                lam, minus, pos, neg, _ = row
+                escapes[lam] = neg
+                escapes[minus] = pos
+
+    def escape(s: tuple[int, ...]) -> int | None:
+        lam = is_stable_support(act, s).witness
+        if lam is None:
+            return None
+        mask = escapes.get(lam)
+        if mask is None:
+            mask = escapes[lam] = sum(1 << j for j, c in enumerate(columns, 1) if _dot(lam, c) < 0)
+        return mask
+
+    return StableLocus(_minimal_supports(min(act.matrix.cols, 2 * act.matrix.k), escape))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from bisect import bisect
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
@@ -675,31 +676,51 @@ def _dominates(x: Vec, mask: int, found: dict[int, list[Vec]]) -> bool:
 
 
 def _minimal_supports(
-    items: Sequence[int], max_size: int, holds: Callable[[tuple[int, ...]], bool]
+    max_size: int, escape: Callable[[tuple[int, ...]], int | None]
 ) -> tuple[tuple[int, ...], ...]:
-    """Minimal supports of at most max_size items satisfying an upward-closed holds.
+    """Minimal supports of at most max_size items in an upward-closed family.
 
-    Supports are walked by size, then lexicographically, and one that
-    contains a support already found is skipped untested, so every
-    support that passes holds is minimal.  Items are distinct
-    nonnegative ints, which double as bit positions.  covered holds the
-    bitmasks of the previous size that contain a found support, and a
-    support contains a smaller found one exactly when removing one of
-    its items leaves a bitmask in covered.
+    Items are nonnegative ints, which double as bit positions.
+    escape(s) is None when s is in the family, else the bitmask of some
+    items outside s that every member containing s meets.  The search
+    starts at the empty support and goes by size: it tests each support
+    of a level once, extends each failing one by each of its escape
+    items, merges equal children and drops those that contain a support
+    found so far.  A found support is minimal, since a member inside it
+    contains a minimal one, found at a lower level, which would have
+    dropped it.  Every minimal M of at most max_size items is found:
+    each proper subset of M that is reached fails, its escape meets M,
+    so it has a child inside M, and no child inside M contains a found
+    support.  Supports come out by size, then in lexicographic order.
     """
-    bits = [1 << i for i in items]
-    covered: set[int] = set()
+    level = [((), 0)]
+    found: dict[int, list[int]] = {}
     out = []
     for size in range(max_size + 1):
-        level = set()
-        for s, s_bits in zip(itertools.combinations(items, size), itertools.combinations(bits, size)):
-            mask = sum(s_bits)
-            if not covered.isdisjoint(map(mask.__xor__, s_bits)):
-                level.add(mask)
-            elif holds(s):
-                level.add(mask)
-                out.append(s)
-        covered = level
+        grown: dict[int, tuple[tuple[int, ...], int]] = {}
+        finds = []
+        for s, mask in level:
+            esc = escape(s)
+            if esc is None:
+                finds.append((s, mask))
+            elif size < max_size:
+                while esc:
+                    bit = esc & -esc
+                    esc ^= bit
+                    if mask | bit not in grown:
+                        grown[mask | bit] = s, bit.bit_length() - 1
+        finds.sort()
+        for s, mask in finds:
+            out.append(s)
+            for i in s:
+                found.setdefault(i, []).append(mask)
+        # A child of a failing support contains a found one only through
+        # the item it added.
+        level = []
+        for child, (s, i) in grown.items():
+            if not any(m & child == m for m in found.get(i, ())):
+                j = bisect(s, i)
+                level.append((s[:j] + (i,) + s[j:], child))
     return tuple(out)
 
 

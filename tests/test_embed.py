@@ -1020,13 +1020,46 @@ def test_base_locus_matches_the_support_walk():
     assert min(seen.values()) >= 100, seen
 
 
+def test_base_locus_escape_is_met_by_every_hitting_superset(monkeypatch):
+    # A set T of coordinates that misses some section support escapes
+    # through the items of one support it misses, and every superset of
+    # T that meets every support meets that escape.
+    escapes = []
+    monkeypatch.setattr(embed, "_minimal_supports", lambda max_size, escape: escapes.append(escape) or ())
+    rng = random.Random(30)
+    seen = Counter()
+    for case in range(300):
+        width = case % 7 + 1
+        sections = []
+        for _ in range(rng.randint(1, 5)):
+            e = tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(width))
+            sections.append((e, rng.randint(0, 3)))
+        escapes.clear()
+        morphism_from_sections((1,) * width, 1, sections)
+        (escape,) = escapes
+        masks = [sum(1 << j for j, x in enumerate(e) if x) for e, _ in sections]
+        for hit in range(1 << width):
+            t = tuple(j for j in range(width) if hit >> j & 1)
+            mask = escape(t)
+            assert (mask is None) == all(m & hit for m in masks)
+            if mask is None:
+                continue
+            assert mask in masks and not mask & hit
+            for bigger in range(1 << width):
+                if bigger & hit == hit and all(m & bigger for m in masks):
+                    assert mask & bigger, (sections, t, bigger)
+                    seen["hitting superset"] += 1
+            seen["empty escape"] += not mask
+    assert min(seen.values()) >= 20, seen
+
+
 def test_base_locus_walk_is_bounded_by_the_sections(monkeypatch):
     # 40 unit weights and one section: the hitting sets have at most one
     # element, so at most 1 + 40 supports are tested instead of 2^40.
     tested = []
 
-    def counting(items, max_size, holds):
-        return lattice._minimal_supports(items, max_size, lambda t: tested.append(t) or holds(t))
+    def counting(max_size, escape):
+        return lattice._minimal_supports(max_size, lambda t: tested.append(t) or escape(t))
 
     monkeypatch.setattr(embed, "_minimal_supports", counting)
     report = morphism_from_sections((1,) * 40, 1, [((1,) + (0,) * 39, 1)])
